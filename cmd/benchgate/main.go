@@ -6,8 +6,8 @@
 //
 //   - ns/op must not exceed baseline × (1 + tolerance) — wall-clock gate;
 //   - allocs/op must not exceed baseline × (1 + tolerance) — allocation gate;
-//   - steps/op, when present in both, must match exactly — the simulation is
-//     deterministic, so any drift is a semantic change, not noise.
+//   - steps/op and runs/op must match exactly — simulation and exploration
+//     are deterministic, so any drift is a semantic change, not noise.
 //
 // Report-level checks: the machine and goroutine lab fingerprints must be
 // equal within the current report (bit-identical results across engines), the
@@ -19,8 +19,9 @@
 // Wall-clock numbers only compare meaningfully on comparable hardware. When
 // the two reports disagree on GOMAXPROCS (a cheap different-machine
 // heuristic), the ns/op and allocs/op gates demote to warnings and only the
-// machine-independent checks (steps/op, fingerprints, speedup ratio) stay
-// fatal; regenerate the baseline on the gating machine to re-arm them.
+// machine-independent checks (steps/op, runs/op, fingerprints, speedup
+// ratio) stay fatal; regenerate the baseline on the gating machine to re-arm
+// them.
 //
 // Improvements never fail the gate; they are reported so the baseline can be
 // refreshed (`paperbench -bench-json bench/baseline.json`).
@@ -61,6 +62,7 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	StepsPerOp  float64 `json:"steps_per_op"`
 	StepsPerSec float64 `json:"steps_per_sec"`
+	RunsPerOp   float64 `json:"runs_per_op"`
 }
 
 func load(path string) (*benchReport, error) {
@@ -214,6 +216,10 @@ func gate(w io.Writer, baseline, current *benchReport, tolerance, minSpeedup, mi
 		if b.StepsPerOp != cur.StepsPerOp {
 			fail("%s: steps/op drifted: %.1f -> %.1f (simulation is deterministic; this is a semantic change)",
 				cur.Name, b.StepsPerOp, cur.StepsPerOp)
+		}
+		if b.RunsPerOp != cur.RunsPerOp {
+			fail("%s: runs/op drifted: %.0f -> %.0f (exploration is deterministic; this is a semantic change)",
+				cur.Name, b.RunsPerOp, cur.RunsPerOp)
 		}
 	}
 	if seen == 0 {

@@ -83,6 +83,13 @@ func TestGateTolerance(t *testing.T) {
 	if failed, _ := runGate(t, base, cur); !failed {
 		t.Fatal("steps/op drift passed")
 	}
+	// runs/op drift: fail (deterministic exploration).
+	explore := benchResult{Name: "b", NsPerOp: 100, AllocsPerOp: 10, RunsPerOp: 7710}
+	cur = explore
+	cur.RunsPerOp = 7711
+	if failed, _ := runGate(t, explore, cur); !failed {
+		t.Fatal("runs/op drift passed")
+	}
 }
 
 func TestGateReportLevelChecks(t *testing.T) {

@@ -27,13 +27,10 @@ type sweepFlags struct {
 	maxStates    *int
 	maxDepth     *int
 	maxRuns      *int64
-	blocks       *int
-	blockLen     *int
 	budget       *int64
 	crashTimes   *string
 	switchBudget *int
 	flipTimes    *string
-	sym          *bool
 	maxViol      *int
 }
 
@@ -42,18 +39,15 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 		system:       fs.String("system", "fig1", "system under exploration: "+strings.Join(explore.SystemNames(), "|")),
 		n:            fs.Int("n", 3, "number of processes (2..5)"),
 		f:            fs.Int("f", 0, "resilience for fig2 (default n-1)"),
-		engineName:   fs.String("engine", "source", "exploration engine: source (source-DPOR with wakeup sequences and state-hash joins), classic (Flanagan-Godefroid DPOR), legacy (block enumerator)"),
+		engineName:   fs.String("engine", "source", "exploration engine: source (source-DPOR with wakeup sequences and state-hash joins) or classic (Flanagan-Godefroid DPOR)"),
 		noHash:       fs.Bool("no-hash", false, "disable the source engine's state-hash join layer (pure source-DPOR)"),
 		maxStates:    fs.Int("max-states", 0, "cap the source engine's join cache entries per configuration (0 = default 16384)"),
-		maxDepth:     fs.Int("max-depth", 0, "DPOR branch-depth horizon (0 = full depth, i.e. the step budget; intractable for most systems beyond n=2)"),
-		maxRuns:      fs.Int64("max-runs", 0, "cap runs per configuration, 0 = unlimited (DPOR engines; hitting it voids exhaustiveness and exits 3)"),
-		blocks:       fs.Int("blocks", 3, "legacy engine: max adversarial blocks per schedule (context-switch bound)"),
-		blockLen:     fs.Int("block", 24, "legacy engine: max steps per adversarial block"),
+		maxDepth:     fs.Int("max-depth", 0, "branch-depth horizon (0 = full depth, i.e. the step budget; intractable for most systems beyond n=2)"),
+		maxRuns:      fs.Int64("max-runs", 0, "cap runs per configuration, 0 = unlimited (hitting it voids exhaustiveness and exits 3)"),
 		budget:       fs.Int64("budget", 4096, "step budget per run"),
 		crashTimes:   fs.String("crash-times", "0,3", "crash-time grid, comma-separated"),
 		switchBudget: fs.Int("switch-budget", 0, "max pre-stabilization output switches per detector history (0 = stable-from-0 histories only)"),
 		flipTimes:    fs.String("flip-times", "2,14", "flip-time grid for -switch-budget > 0, comma-separated"),
-		sym:          fs.Bool("sym", false, "collapse crash sets up to process renaming (quick-scan heuristic, not a sound reduction)"),
 		maxViol:      fs.Int("max-violations", 4, "stop after this many distinct violations (per worker process under fdlab fleet)"),
 	}
 }
@@ -61,31 +55,20 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 // spec validates the parsed flags and builds the fleet.Spec they describe,
 // exiting fatally on any inconsistency.
 func (sf *sweepFlags) spec() fleet.Spec {
-	engine, err := explore.ParseEngine(*sf.engineName)
-	if err != nil {
+	if _, err := explore.ParseEngine(*sf.engineName); err != nil {
 		log.Fatalf("-engine %v", err)
 	}
 	if *sf.n < 2 || *sf.n > 5 {
 		log.Fatalf("-n %d out of the explorable range [2,5] (the schedule space explodes beyond n=5)", *sf.n)
 	}
-	if *sf.blocks <= 0 || *sf.blockLen <= 0 || *sf.budget <= 0 {
-		log.Fatalf("-blocks, -block and -budget must be positive (got %d, %d, %d)", *sf.blocks, *sf.blockLen, *sf.budget)
+	if *sf.budget <= 0 {
+		log.Fatalf("-budget must be positive, got %d", *sf.budget)
 	}
 	if *sf.maxDepth < 0 || *sf.maxRuns < 0 || *sf.maxStates < 0 {
 		log.Fatalf("-max-depth, -max-runs and -max-states must be non-negative (got %d, %d, %d)", *sf.maxDepth, *sf.maxRuns, *sf.maxStates)
 	}
 	if *sf.switchBudget < 0 {
 		log.Fatalf("-switch-budget must be >= 0, got %d", *sf.switchBudget)
-	}
-	if *sf.switchBudget > 0 && engine == explore.EngineEnum {
-		// The block enumerator honors flip schedules soundly, but a
-		// flip-gated witness needs at least four preemption blocks
-		// (interleaved converge, the flip observer's solo run, the laggard's
-		// decision) — beyond any affordable -blocks bound, so its unstable
-		// sweep would be vacuously clean. Refusing the combination keeps the
-		// coverage claim honest; the differential suite compares the engines
-		// at a raised block bound instead.
-		log.Fatal("-switch-budget > 0 requires a DPOR engine: the legacy enumerator's context-switch bound cannot reach flip-straddling witnesses (use -engine source or -engine classic)")
 	}
 	if *sf.maxViol <= 0 {
 		log.Fatalf("-max-violations must be >= 1, got %d", *sf.maxViol)
@@ -117,15 +100,12 @@ func (sf *sweepFlags) spec() fleet.Spec {
 		Engine:        *sf.engineName,
 		NoHash:        *sf.noHash,
 		MaxStates:     *sf.maxStates,
-		MaxBlocks:     *sf.blocks,
-		MaxBlock:      *sf.blockLen,
 		MaxDepth:      *sf.maxDepth,
 		MaxRuns:       *sf.maxRuns,
 		Budget:        *sf.budget,
 		CrashTimes:    grid,
 		SwitchBudget:  *sf.switchBudget,
 		FlipTimes:     fgrid,
-		Symmetry:      *sf.sym,
 		MaxViolations: *sf.maxViol,
 	}
 }

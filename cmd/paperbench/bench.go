@@ -80,6 +80,10 @@ type BenchResult struct {
 	// StepsPerSec = StepsPerOp / (NsPerOp / 1e9): simulated steps per
 	// wall-clock second, the engine's throughput.
 	StepsPerSec float64 `json:"steps_per_sec,omitempty"`
+	// RunsPerOp is the number of schedules one explorer op executes
+	// (deterministic; the gate checks it exactly). Explorer rows report it
+	// instead of StepsPerOp.
+	RunsPerOp float64 `json:"runs_per_op,omitempty"`
 }
 
 // benchBest runs the benchmark repeatedly and keeps the fastest result: the
@@ -109,6 +113,14 @@ func newBenchResult(name string, r testing.BenchmarkResult, stepsPerOp float64) 
 	if stepsPerOp > 0 && out.NsPerOp > 0 {
 		out.StepsPerSec = stepsPerOp / (out.NsPerOp / 1e9)
 	}
+	return out
+}
+
+// newExploreResult is newBenchResult for an explorer sweep, which counts
+// executed runs rather than simulated steps.
+func newExploreResult(name string, r testing.BenchmarkResult, runsPerOp int64) BenchResult {
+	out := newBenchResult(name, r, 0)
+	out.RunsPerOp = float64(runsPerOp)
 	return out
 }
 
@@ -230,7 +242,7 @@ func runBenchJSON(path string, seeds int) error {
 			}
 		})
 		report.Benchmarks = append(report.Benchmarks,
-			newBenchResult("explore/"+eb.name, res, float64(runs)))
+			newExploreResult("explore/"+eb.name, res, runs))
 		switch eb.name {
 		case "fig1-n3/classic":
 			classicRuns = float64(runs)
@@ -259,7 +271,7 @@ func runBenchJSON(path string, seeds int) error {
 	// worker processes (this binary re-exec'd in its hidden -fleet-worker
 	// mode). The run count must equal the single-process sweep's — sharding
 	// the configuration space is result-neutral — so the gate compares
-	// steps/op exactly across the two entries.
+	// runs/op exactly across the two entries.
 	fleetRes, fleetRuns, err := benchFleet()
 	if err != nil {
 		return err
@@ -268,7 +280,7 @@ func runBenchJSON(path string, seeds int) error {
 		return fmt.Errorf("explore/fig1-n3/fleet-2proc executed %d runs, want the single-process count %v", fleetRuns, sourceRuns)
 	}
 	report.Benchmarks = append(report.Benchmarks,
-		newBenchResult("explore/fig1-n3/fleet-2proc", fleetRes, float64(fleetRuns)))
+		newExploreResult("explore/fig1-n3/fleet-2proc", fleetRes, fleetRuns))
 	if fleetNs := float64(fleetRes.T.Nanoseconds()) / float64(fleetRes.N); fleetNs > 0 {
 		report.FleetVsSingleProcess = sourceNs / fleetNs
 	}

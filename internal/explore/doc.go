@@ -15,8 +15,8 @@
 //
 // # Engines
 //
-// Three engines enumerate the schedule space; all close every run with a
-// fair round-robin tail inside the step budget, and all share the same
+// Two engines enumerate the schedule space; both close every run with a
+// fair round-robin tail inside the step budget, and both share the same
 // dependence relation, built on the access-recording seam of
 // internal/memory: every Direct* accessor reports its (object, read|write)
 // events to the run's sim.AccessLog, so each step carries its exact
@@ -92,15 +92,22 @@
 // kept as the differential anchor for the source engine — same dependence
 // relation, independently implemented search.
 //
-// For both partial-order engines, Config.MaxDepth bounds where backtrack
-// points may be inserted: the search is exhaustive up to commutativity over
-// *every* schedule — arbitrarily many context switches — whose branching
-// lies in the first MaxDepth steps. Terminating protocols at small n afford
-// full depth (MaxDepth = budget); the non-terminating extraction and the
-// compositions use a finite horizon. Reduction soundness needs step
-// behaviour to be independent of a step's global time *up to what the
-// access sets record*. Crash times are fixed by the pattern, and detector
-// queries — the one time-dependent operation — are first-class accesses
+// For both engines, Config.MaxDepth bounds where backtrack points may be
+// inserted: the search covers, up to commutativity, every schedule —
+// arbitrarily many context switches — whose branching lies in the first
+// MaxDepth steps, with the one exception below. Terminating protocols at
+// small n afford full depth (MaxDepth = budget); the non-terminating
+// extraction and the compositions use a finite horizon. Reduction soundness
+// needs step behaviour to be independent of a step's global time *up to
+// what the access sets record*. Crashes break this: a crash is a disable
+// triggered by time, and no access records it, so no race ever exposes how
+// many steps the crashing process completes before its crash time. A
+// process crashing at t=3 can take 0, 1 or 2 steps first; the engines
+// reach only the counts the fair tail and the recorded races happen to
+// produce, and miss the runs where it completes 2 (TestOracleCrashTimeGap
+// pins this on fig1 and fig2 at n=2, where the decisions reached are the
+// same). Crash-at-0 patterns are unaffected. Detector queries — the one
+// time-dependent operation the machines perform — are first-class accesses
 // since PR 5: every query routes through the run's query seam
 // (sim.QuerySeam) and is recorded as a read of a virtual per-history
 // object, every pre-stabilization output switch ("flip") of an unstable
@@ -110,24 +117,21 @@
 // histories the object is never written and the search is the PR-4 one,
 // run for run.
 //
-// EngineEnum is the PR-3 enumerator, kept for differential testing: a
-// schedule is a sequence of adversarial "blocks" (block (p, ℓ) grants up to
-// ℓ consecutive steps to p) followed by the fair tail — exactly the
-// context-switch-bounded exploration of Musuvathi & Qadeer's CHESS, with
-// stutter pruning on cut-short blocks and canonical decomposition of solo
-// spans. The differential suites (differential_test.go, source_test.go, CI)
-// assert all engines find the identical violation set on the standard n ≤ 3
-// suite and on killable mutants, with source executing strictly fewer runs
-// than classic, and classic strictly fewer than the enumerator.
+// The reference both engines answer to is test-only: a brute-force
+// enumerator of the plain interleaving semantics (oracle_test.go), which
+// executes every schedule of a tiny instance with no reduction at all. At
+// full depth, classic, source and source+hash must each reach exactly its
+// set of terminal outcomes; at a shallow depth it re-checks every standard
+// suite config, unreduced. The differential suite (source_test.go, CI)
+// additionally asserts all engine variants find the identical violation set
+// on the standard n ≤ 3 suite and on killable mutants, with source
+// executing strictly fewer runs than classic.
 //
 // # What is enumerated
 //
 // Failure patterns. Every crash set of size ≤ f (the environment E_f) is
 // combined with every assignment of crash times from a small grid
-// (Config.CrashTimes). Config.Symmetry collapses crash sets up to process
-// renaming — a speed heuristic only: proposals are pinned to PIDs and the
-// protocols branch on value order, so renamed patterns are not
-// execution-equivalent. The standard suite keeps it off.
+// (Config.CrashTimes).
 //
 // Detector histories. For each pattern the system enumerates the legal
 // stable outputs of its failure detector (every legal Υ/Υ^f stable set,

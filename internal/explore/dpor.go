@@ -9,9 +9,7 @@ import (
 // Dynamic partial-order reduction (Flanagan & Godefroid, POPL 2005) over the
 // step-machine engine — the explorer's default engine since PR 4.
 //
-// The legacy enumerator (EngineEnum, explore.go) bounds the *number of
-// context switches*; DPOR instead bounds nothing and prunes by
-// *commutativity*: two steps of different processes are independent when
+// DPOR bounds no context switches and prunes by *commutativity*: two steps of different processes are independent when
 // their shared-object access sets (recorded by sim.AccessLog through the
 // instrumented memory.Direct* accessors) do not conflict, and schedules that
 // differ only by reordering independent adjacent steps are equivalent —
@@ -38,9 +36,13 @@ import (
 // Soundness of the reduction relies on two properties of the explored
 // configurations. First, a machine's step behaviour must not depend on the
 // global time of the step in any way the access sets do not capture, since
-// commuting two adjacent steps shifts both their times by one. Crash times
-// are fixed by the pattern regardless of who steps, and the protocol
-// machines use the time parameter only for detector queries — which the
+// commuting two adjacent steps shifts both their times by one. Crashes do
+// not meet this: a crash disables its process at a fixed time, no access
+// records it, and so no race ever exposes how many steps the crashing
+// process completes first — with a crash at t=3, the runs where it takes
+// both steps 1 and 2 are missed (doc.go; TestOracleCrashTimeGap). The
+// protocol machines use the time parameter only for detector queries —
+// which the
 // query seam (sim.QuerySeam, registered by execute for every instance
 // history) makes first-class accesses of a virtual per-history object:
 // queries read it, each pre-stabilization output switch of an unstable
@@ -59,8 +61,9 @@ import (
 // under commutation, so a class straddling the window boundary may be
 // checked on an unsettled (vacuously passing) representative. The sweep
 // surfaces Result.SettledRuns so a settledness collapse is visible, and
-// the legacy enumerator — which executes every bounded schedule rather
-// than one per class — remains the reference lens for that property.
+// the test suite's brute-force oracle — which executes every schedule of a
+// shallow prefix rather than one per class — is the reference lens for
+// that property.
 //
 // Non-terminating systems (the Figure 3 extraction, whose runs always cost
 // the full budget) additionally need Config.MaxDepth: backtrack points are
@@ -70,7 +73,7 @@ import (
 // budget), which makes the search genuinely full-depth.
 
 // dporMaxProcs bounds the vector-clock width. The CLI caps exploration at
-// n = 4; fixed-size clock arrays keep the analysis allocation-light.
+// n = 5; fixed-size clock arrays keep the analysis allocation-light.
 const dporMaxProcs = 8
 
 // vclock is a vector clock: entry q counts the steps of process q known to

@@ -127,21 +127,6 @@ func TestDPORFindsRaceReversal(t *testing.T) {
 	t.Logf("lost update found in %d runs (%d pruned): %v", res.Runs, res.Pruned, res.Violations[0])
 }
 
-// TestDPORAgreesWithEnumOnToy: both engines judge the toy systems
-// identically (violation present/absent).
-func TestDPORAgreesWithEnumOnToy(t *testing.T) {
-	for _, sys := range []toySystem{
-		{name: "toy-shared", props: []Property{propSomeoneDecides2{}}},
-		{name: "toy-disjoint", disjoint: true, props: []Property{propAlwaysHolds{}}},
-	} {
-		d := Explore(Config{System: sys})
-		l := Explore(Config{System: sys, Engine: EngineEnum, MaxBlocks: 3, MaxBlock: 8})
-		if (len(d.Violations) == 0) != (len(l.Violations) == 0) {
-			t.Fatalf("%s: engines disagree: dpor %d violations, enum %d", sys.name, len(d.Violations), len(l.Violations))
-		}
-	}
-}
-
 // TestDPORTaskMachines: the explorer drives multi-task systems
 // (Instance.Tasks → sim.RunTaskMachines) through the same DPOR lens; a
 // composed n=2 sweep over one configuration must be deterministic and

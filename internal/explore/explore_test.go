@@ -34,61 +34,29 @@ func TestFullSweepRealProtocols(t *testing.T) {
 
 // TestExploreDeterministic: two sweeps of the same configuration visit the
 // same schedules (replay is cloning, so this must hold for counterexamples
-// to be reproducible) — checked for both engines.
+// to be reproducible) — checked for the default engine, joins included, and
+// for classic. Fig1 runs at n=3 because at n=2 it never joins.
 func TestExploreDeterministic(t *testing.T) {
-	for _, engine := range []Engine{EngineDPOR, EngineEnum} {
+	for _, engine := range []Engine{EngineSource, EngineDPOR} {
 		run := func() *Result {
-			return Explore(Config{System: Fig1System(2), Engine: engine, MaxDepth: 20,
-				MaxBlocks: 3, MaxBlock: 16, Budget: 1024, Symmetry: true})
+			return Explore(Config{System: Fig1System(3), Engine: engine, MaxDepth: 8, Budget: 1024})
 		}
 		a, b := run(), run()
-		if a.Runs != b.Runs || a.Configs != b.Configs || a.MaxSteps != b.MaxSteps || a.Pruned != b.Pruned {
-			t.Fatalf("%v sweeps differ: (%d runs, %d configs, %d max, %d pruned) vs (%d, %d, %d, %d)",
-				engine, a.Runs, a.Configs, a.MaxSteps, a.Pruned, b.Runs, b.Configs, b.MaxSteps, b.Pruned)
+		if a.Runs != b.Runs || a.Configs != b.Configs || a.MaxSteps != b.MaxSteps || a.Pruned != b.Pruned || a.Joined != b.Joined {
+			t.Fatalf("%s sweeps differ: (%d runs, %d configs, %d max, %d pruned, %d joined) vs (%d, %d, %d, %d, %d)",
+				a.Engine, a.Runs, a.Configs, a.MaxSteps, a.Pruned, a.Joined, b.Runs, b.Configs, b.MaxSteps, b.Pruned, b.Joined)
 		}
-	}
-}
-
-func TestBlockScheduleSemantics(t *testing.T) {
-	s := newBlockSchedule([]block{{pid: 1, n: 2}, {pid: 0, n: 3}})
-	enabled := sim.SetOf(0, 1, 2)
-	var got []sim.PID
-	for i := 0; i < 8; i++ {
-		got = append(got, s.Next(sim.Time(i+1), enabled))
-	}
-	want := []sim.PID{1, 1, 0, 0, 0 /* tail round-robin (fresh, from p1): */, 0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("step %d: got %v, want %v (full %v)", i, got[i], want[i], got)
+		if engine == EngineSource && a.Joined == 0 {
+			t.Errorf("source+hash joined nothing; the join layer went untested")
 		}
-	}
-	if s.counts[0] != 2 || s.counts[1] != 3 {
-		t.Fatalf("block counts %v, want [2 3]", s.counts)
-	}
-
-	// A block whose owner is disabled is skipped entirely (counted 0).
-	s = newBlockSchedule([]block{{pid: 2, n: 5}, {pid: 0, n: 1}})
-	if p := s.Next(1, sim.SetOf(0, 1)); p != 0 {
-		t.Fatalf("disabled block owner: got %v, want p1", p)
-	}
-	if s.counts[0] != 0 || s.counts[1] != 1 {
-		t.Fatalf("block counts %v, want [0 1]", s.counts)
 	}
 }
 
 func TestPatternsFor(t *testing.T) {
-	// Symmetric: one canonical crash set per cardinality, sorted time
-	// assignments. n=3, f=2, grid {0,3}: sizes 0 (1) + 1 (2 times) +
-	// 2 (3 non-decreasing pairs) = 6 patterns.
-	pats := patternsFor(3, 2, []sim.Time{0, 3}, true)
-	if len(pats) != 6 {
-		t.Fatalf("symmetric: %d patterns, want 6: %v", len(pats), pats)
-	}
-	// Asymmetric: all subsets of size ≤ 2 with all time tuples:
-	// 1 + 3·2 + 3·4 = 19.
-	pats = patternsFor(3, 2, []sim.Time{0, 3}, false)
+	// All subsets of size ≤ 2 with all time tuples: 1 + 3·2 + 3·4 = 19.
+	pats := patternsFor(3, 2, []sim.Time{0, 3})
 	if len(pats) != 19 {
-		t.Fatalf("asymmetric: %d patterns, want 19", len(pats))
+		t.Fatalf("%d patterns, want 19", len(pats))
 	}
 	for _, p := range pats {
 		if !p.InEnvironment(2) {
@@ -99,7 +67,7 @@ func TestPatternsFor(t *testing.T) {
 		}
 	}
 	// maxF is clamped to n−1 even when asked for more.
-	for _, p := range patternsFor(2, 5, []sim.Time{0}, false) {
+	for _, p := range patternsFor(2, 5, []sim.Time{0}) {
 		if p.NumFaulty() > 1 {
 			t.Fatalf("pattern %v crashes more than n-1 processes", p)
 		}
@@ -124,7 +92,7 @@ func TestPatternLabelDistinguishesCrashTimes(t *testing.T) {
 	// Every pattern of a sweep's enumeration gets a distinct label (labels
 	// key the dedup map and the lab scenario names).
 	seen := make(map[string]bool)
-	for _, p := range patternsFor(3, 2, []sim.Time{0, 3}, false) {
+	for _, p := range patternsFor(3, 2, []sim.Time{0, 3}) {
 		l := patternLabel(p)
 		if seen[l] {
 			t.Fatalf("duplicate pattern label %q", l)

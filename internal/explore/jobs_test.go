@@ -2,6 +2,7 @@ package explore
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"weakestfd/internal/sim"
@@ -150,7 +151,6 @@ func TestParseEngine(t *testing.T) {
 	cases := map[string]Engine{
 		"": EngineSource, "source": EngineSource,
 		"classic": EngineDPOR, "dpor": EngineDPOR,
-		"legacy": EngineEnum, "enum": EngineEnum,
 	}
 	for name, want := range cases {
 		got, err := ParseEngine(name)
@@ -158,7 +158,12 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := ParseEngine("quantum"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine name")
+	for _, name := range []string{"quantum", "legacy", "enum"} {
+		_, err := ParseEngine(name)
+		if err == nil {
+			t.Errorf("ParseEngine accepted %q", name)
+		} else if msg := err.Error(); !strings.Contains(msg, "source") || !strings.Contains(msg, "classic") {
+			t.Errorf("ParseEngine(%q) error %q does not name the valid engines", name, msg)
+		}
 	}
 }

@@ -34,7 +34,6 @@ type Mutant struct {
 	MaxDepth     int
 	MaxRuns      int64
 	Budget       int64
-	Symmetry     bool
 }
 
 // Kill runs the mutant's sweep and returns the first violation of the
@@ -52,7 +51,6 @@ func (m Mutant) Kill() (*Violation, *Result, error) {
 		MaxDepth:      m.MaxDepth,
 		MaxRuns:       m.MaxRuns,
 		Budget:        m.Budget,
-		Symmetry:      m.Symmetry,
 		MaxViolations: 1,
 	})
 	for _, v := range res.Violations {
@@ -72,13 +70,12 @@ func MutantZoo() []Mutant {
 		// fig1-broken-adopt: the n=2 lost-update race on round 1's converge —
 		// both processes read param.A/param.B before either write lands, each
 		// escapes believing it ran alone and solo-commits its own value.
-		// Depth 24 contains the second decision; symmetry halves the crash
-		// grid.
+		// Depth 24 contains the second decision.
 		{
 			System: "fig1-broken-adopt", N: 2, F: 1,
 			Property: "agreement", Pattern: "wrong-adopt-order",
 			CrashTimes: []sim.Time{0}, MaxDepth: 24, MaxRuns: 150_000,
-			Budget: 2048, Symmetry: true,
+			Budget: 2048,
 		},
 		// fig1-skip-on-change: dead code under every stable-from-0 history —
 		// only a SwitchBudget>=1 sweep reaches it. Flip time 14 lands inside
@@ -115,7 +112,7 @@ func MutantZoo() []Mutant {
 			System: "fig2-broken-adopt", N: 3, F: 1,
 			Property: "agreement", Pattern: "wrong-adopt-order",
 			CrashTimes: []sim.Time{0}, MaxDepth: 24, MaxRuns: 150_000,
-			Budget: 2048, Symmetry: true,
+			Budget: 2048,
 		},
 		// fig2-skip-on-change: Figure 2's detector-change escape broken the
 		// same way fig1-skip-on-change breaks Figure 1's — dead code under
@@ -174,12 +171,12 @@ func MutantZoo() []Mutant {
 		// extraction and protocol tasks, so fig1's 17-grant witness doubles
 		// to ~38 grants of controlled prefix: depth 44 is the shallowest
 		// level that contains it (the depth-40 tree exhausts without a kill),
-		// and the kill lands around 600k runs.
+		// and the source engine kills it within a few hundred runs.
 		{
 			System: "composed-broken-adopt", N: 2, F: 1,
 			Property: "agreement", Pattern: "wrong-adopt-order",
 			CrashTimes: []sim.Time{0}, MaxDepth: 44, MaxRuns: 1_000_000,
-			Budget: 4096, Symmetry: true,
+			Budget: 4096,
 		},
 		// composed-garbled-echo: the emulated Υ settles on the complement of
 		// the Ω leader, so the leader is a live citizen of the protocol's

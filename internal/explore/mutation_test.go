@@ -11,20 +11,17 @@ import (
 )
 
 // brokenSweep runs the calibration sweep against the wrong-adopt fig1
-// mutant at the given size, with the given engine. The DPOR branch horizon
-// of 24 comfortably contains the mutant's minimal witnesses (17 steps at
-// n=2, 22 at n=3); the per-config run cap only bounds the violation-free
+// mutant at the given size under classic DPOR. The branch horizon of 24
+// comfortably contains the mutant's minimal witnesses (17 steps at n=2, 22
+// at n=3); the per-config run cap only bounds the violation-free
 // configurations the DFS would otherwise exhaust.
-func brokenSweep(n int, engine Engine) *Result {
+func brokenSweep(n int) *Result {
 	return Explore(Config{
-		System:    BrokenFig1System(n),
-		Engine:    engine,
-		MaxDepth:  24,
-		MaxRuns:   150_000,
-		MaxBlocks: 3,
-		MaxBlock:  24,
-		Budget:    2048,
-		Symmetry:  true,
+		System:   BrokenFig1System(n),
+		Engine:   EngineDPOR,
+		MaxDepth: 24,
+		MaxRuns:  150_000,
+		Budget:   2048,
 	})
 }
 
@@ -39,21 +36,22 @@ func TestMutationBrokenFig1Caught(t *testing.T) {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
 	for _, n := range []int{2, 3} {
-		res := brokenSweep(n, EngineDPOR)
+		res := brokenSweep(n)
 		if len(res.Violations) == 0 {
 			t.Fatalf("n=%d: explorer missed the wrong-adopt mutant (%d runs)", n, res.Runs)
 		}
-		v := res.Violations[0]
-		if v.Property != "agreement" {
-			t.Fatalf("n=%d: violated property %q, want agreement", n, v.Property)
+		for _, v := range res.Violations {
+			if v.Property != "agreement" {
+				t.Fatalf("n=%d: violated property %q, want agreement", n, v.Property)
+			}
+			if v.ShrunkSteps <= 0 || int64(v.ShrunkSteps) > v.Steps {
+				t.Fatalf("n=%d: shrunk schedule length %d not in (0, %d]", n, v.ShrunkSteps, v.Steps)
+			}
+			if v.ShrunkSteps == int(v.Steps) {
+				t.Errorf("n=%d: shrinker made no progress (%d steps)", n, v.ShrunkSteps)
+			}
 		}
-		if v.ShrunkSteps <= 0 || int64(v.ShrunkSteps) > v.Steps {
-			t.Fatalf("n=%d: shrunk schedule length %d not in (0, %d]", n, v.ShrunkSteps, v.Steps)
-		}
-		if v.ShrunkSteps == int(v.Steps) {
-			t.Errorf("n=%d: shrinker made no progress (%d steps)", n, v.ShrunkSteps)
-		}
-		t.Logf("n=%d: %v", n, v)
+		t.Logf("n=%d: %d violations in %d runs, first %v", n, len(res.Violations), res.Runs, res.Violations[0])
 	}
 }
 
@@ -61,7 +59,7 @@ func TestMutationBrokenFig1Caught(t *testing.T) {
 // reads it back, and replays it: the violation must reproduce
 // deterministically, twice.
 func TestMutationArtifactRoundTrip(t *testing.T) {
-	res := brokenSweep(2, EngineDPOR)
+	res := brokenSweep(2)
 	if len(res.Violations) == 0 {
 		t.Fatal("no violation to round-trip")
 	}

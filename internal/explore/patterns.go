@@ -28,17 +28,10 @@ func patternLabel(p sim.Pattern) string {
 	return b.String()
 }
 
-// patternsFor enumerates the failure patterns of E_f over n processes with
-// crash times drawn from the grid. With sym set, crash sets are enumerated
-// up to process renaming: one canonical set per cardinality (the highest
-// PIDs) with non-decreasing time assignments. That reduction is a *speed
-// heuristic*, not a sound quotient, for the built-in systems: renaming
-// processes would also have to permute their proposals, but the sweep fixes
-// proposal 100+i to process i and the protocols' adopt/commit rules branch
-// on value order, so a run under a renamed pattern is not isomorphic to the
-// original. Exhaustiveness claims (DefaultSweep, CI) therefore use
-// sym=false; sym=true is for quick scans.
-func patternsFor(n, maxF int, grid []sim.Time, sym bool) []sim.Pattern {
+// patternsFor enumerates the failure patterns of E_f over n processes:
+// every crash set of size ≤ maxF (clamped to n−1) with every assignment of
+// crash times from the grid ({0} when empty).
+func patternsFor(n, maxF int, grid []sim.Time) []sim.Pattern {
 	if maxF > n-1 {
 		maxF = n - 1 // at least one process stays correct
 	}
@@ -46,56 +39,27 @@ func patternsFor(n, maxF int, grid []sim.Time, sym bool) []sim.Pattern {
 		grid = []sim.Time{0}
 	}
 	var out []sim.Pattern
-	emit := func(faulty []sim.PID, times []sim.Time) {
-		crashes := make(map[sim.PID]sim.Time, len(faulty))
-		for i, p := range faulty {
-			crashes[p] = times[i]
-		}
-		out = append(out, sim.CrashPattern(n, crashes))
-	}
-	// assign enumerates time tuples for one faulty set: all tuples in the
-	// asymmetric case, non-decreasing tuples (canonical under renaming) in
-	// the symmetric one.
-	var assign func(faulty []sim.PID, times []sim.Time, minIdx int)
-	assign = func(faulty []sim.PID, times []sim.Time, minIdx int) {
+	// assign enumerates every time tuple for one faulty set.
+	var assign func(faulty []sim.PID, times []sim.Time)
+	assign = func(faulty []sim.PID, times []sim.Time) {
 		if len(times) == len(faulty) {
-			emit(faulty, times)
+			crashes := make(map[sim.PID]sim.Time, len(faulty))
+			for i, p := range faulty {
+				crashes[p] = times[i]
+			}
+			out = append(out, sim.CrashPattern(n, crashes))
 			return
 		}
-		start := 0
-		if sym {
-			start = minIdx
-		}
-		for gi := start; gi < len(grid); gi++ {
-			assign(faulty, append(times, grid[gi]), gi)
+		for _, t := range grid {
+			assign(faulty, append(times, t))
 		}
 	}
-	if sym {
-		for size := 0; size <= maxF; size++ {
-			faulty := make([]sim.PID, 0, size)
-			for i := n - size; i < n; i++ {
-				faulty = append(faulty, sim.PID(i))
-			}
-			if size == 0 {
-				emit(nil, nil)
-				continue
-			}
-			assign(faulty, make([]sim.Time, 0, size), 0)
-		}
-		return out
-	}
-	// Asymmetric: every subset of size ≤ maxF.
 	full := sim.FullSet(n)
 	for bits := sim.Set(0); bits <= full; bits++ {
-		if bits.Len() > maxF {
-			continue
+		if bits.Len() <= maxF {
+			faulty := bits.Members()
+			assign(faulty, make([]sim.Time, 0, len(faulty)))
 		}
-		faulty := bits.Members()
-		if len(faulty) == 0 {
-			emit(nil, nil)
-			continue
-		}
-		assign(faulty, make([]sim.Time, 0, len(faulty)), 0)
 	}
 	return out
 }

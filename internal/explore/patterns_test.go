@@ -33,14 +33,14 @@ func TestPatternLabelForms(t *testing.T) {
 	}
 }
 
-// TestPatternsForEnumeration covers the grid pinning and the symmetric
-// reduction of patternsFor.
+// TestPatternsForEnumeration covers the grid pinning and the dedup keys of
+// patternsFor.
 func TestPatternsForEnumeration(t *testing.T) {
 	// An empty grid is pinned to {0}: failure-free plus one crash-at-0 per
 	// process.
-	pats := patternsFor(2, 1, nil, false)
+	pats := patternsFor(2, 1, nil)
 	if len(pats) != 3 {
-		t.Fatalf("patternsFor(2,1,nil,false) = %d patterns, want 3", len(pats))
+		t.Fatalf("patternsFor(2,1,nil) = %d patterns, want 3", len(pats))
 	}
 	labels := make(map[string]bool)
 	for _, p := range pats {
@@ -52,14 +52,14 @@ func TestPatternsForEnumeration(t *testing.T) {
 		}
 	}
 
-	// Asymmetric n=3, maxF=2, grid {0,3}: 1 failure-free + 3·2 singles +
-	// 3·4 pairs = 19, all with distinct dedup keys.
-	asym := patternsFor(3, 2, []sim.Time{0, 3}, false)
-	if len(asym) != 19 {
-		t.Fatalf("asymmetric enumeration = %d patterns, want 19", len(asym))
+	// n=3, maxF=2, grid {0,3}: 1 failure-free + 3·2 singles + 3·4 pairs =
+	// 19, all with distinct dedup keys.
+	all := patternsFor(3, 2, []sim.Time{0, 3})
+	if len(all) != 19 {
+		t.Fatalf("enumeration = %d patterns, want 19", len(all))
 	}
 	seen := make(map[string]bool)
-	for _, p := range asym {
+	for _, p := range all {
 		l := patternLabel(p)
 		if seen[l] {
 			t.Errorf("duplicate pattern key %s", l)
@@ -67,24 +67,8 @@ func TestPatternsForEnumeration(t *testing.T) {
 		seen[l] = true
 	}
 
-	// Symmetric: one canonical faulty set per cardinality (highest PIDs)
-	// with non-decreasing times: 1 + 2 + 3 = 6.
-	syms := patternsFor(3, 2, []sim.Time{0, 3}, true)
-	if len(syms) != 6 {
-		t.Fatalf("symmetric enumeration = %d patterns, want 6", len(syms))
-	}
-	for _, p := range syms {
-		f := p.Faulty()
-		if !f.SubsetOf(sim.SetOf(1, 2)) {
-			t.Errorf("symmetric pattern %s crashes a non-canonical set", patternLabel(p))
-		}
-		if f == sim.SetOf(1, 2) && p.CrashAt(1) > p.CrashAt(2) {
-			t.Errorf("symmetric times not canonical: %s", patternLabel(p))
-		}
-	}
-
 	// maxF is clamped to n-1: at least one process stays correct.
-	for _, p := range patternsFor(2, 5, []sim.Time{0}, false) {
+	for _, p := range patternsFor(2, 5, []sim.Time{0}) {
 		if p.Faulty().Len() > 1 {
 			t.Errorf("pattern %s crashes everyone", patternLabel(p))
 		}

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -8,8 +9,20 @@ import (
 )
 
 // Differential testing of the source-DPOR engine against the classic engine:
-// identical verdicts, fewer executions. CI's explore-smoke matrix runs these
-// explicitly.
+// identical verdicts, fewer executions. The brute-force oracle
+// (oracle_test.go) is the unreduced reference both are checked against.
+// CI's explore-smoke matrix runs these explicitly.
+
+// violationKeys returns the sorted (pattern, oracle, property) triples of a
+// result's violations.
+func violationKeys(r *Result) []string {
+	var out []string
+	for _, v := range r.Violations {
+		out = append(out, violationKey(v))
+	}
+	sort.Strings(out)
+	return out
+}
 
 // TestSourceVsClassicDifferential compares the three reduction variants —
 // classic DPOR, pure source-DPOR (NoHash), and source-DPOR with state-hash
@@ -39,7 +52,7 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 	})
 
 	t.Run("clean-suite", func(t *testing.T) {
-		var classicRuns, sourceRuns, hashRuns, joined int64
+		var classicRuns, classicPruned, sourceRuns, hashRuns, joined int64
 		for _, cfg := range DefaultSweep() {
 			cfg.Engine = EngineDPOR
 			c := Explore(cfg)
@@ -68,14 +81,15 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 			}
 			if c.System == "extract-omega" {
 				// Settledness is the one non-trace-invariant margin (see
-				// dpor.go); guard against a silent collapse under either
-				// source variant.
-				if s.SettledRuns == 0 || h.SettledRuns == 0 {
-					t.Errorf("extract-omega: settled runs source=%d source+hash=%d; the sanity property was never exercised",
-						s.SettledRuns, h.SettledRuns)
+				// dpor.go); guard against a silent collapse under any
+				// engine variant.
+				if c.SettledRuns == 0 || s.SettledRuns == 0 || h.SettledRuns == 0 {
+					t.Errorf("extract-omega: settled runs classic=%d source=%d source+hash=%d; the sanity property was never exercised",
+						c.SettledRuns, s.SettledRuns, h.SettledRuns)
 				}
 			}
 			classicRuns += c.Runs
+			classicPruned += c.Pruned
 			sourceRuns += s.Runs
 			hashRuns += h.Runs
 			joined += h.Joined
@@ -87,6 +101,9 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 		}
 		if joined == 0 {
 			t.Error("state hashing joined nothing across the whole suite; the join layer is dead")
+		}
+		if classicPruned == 0 {
+			t.Error("classic sleep sets pruned nothing across the whole suite")
 		}
 		t.Logf("suite totals: classic %d vs source %d vs source+hash %d (%d joined)",
 			classicRuns, sourceRuns, hashRuns, joined)
@@ -151,6 +168,7 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 		cases := []struct {
 			name string
 			cfg  Config
+			want int // exact violating-config count; 0 means at least one
 		}{
 			{"fig1-broken-adopt", Config{
 				System:        BrokenFig1System(2),
@@ -158,7 +176,7 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 				Budget:        2048,
 				MaxViolations: 1 << 20,
 				Workers:       1,
-			}},
+			}, 0},
 			{"fig1-skip-on-change", Config{
 				System:       SkipOnChangeFig1System(2),
 				SwitchBudget: 1,
@@ -167,11 +185,13 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 				MaxDepth:     31,
 				Budget:       2048,
 				// The mutant has exactly two violating configurations on
-				// this grid (see TestDifferentialSwitchMutant); capping
-				// there keeps the three full-depth sweeps CI-affordable.
+				// this grid, one per stable set; capping there keeps the
+				// three full-depth sweeps CI-affordable (uncapped, the clean
+				// flip-variant configs cost millions of runs and add no
+				// violation).
 				MaxViolations: 2,
 				Workers:       1,
-			}},
+			}, 2},
 			{"extract-stale-leader", Config{
 				System:        mustSystem("extract-stale-leader", 2, 1),
 				SwitchBudget:  1,
@@ -182,7 +202,7 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 				Budget:        768,
 				MaxViolations: 1 << 20,
 				Workers:       1,
-			}},
+			}, 0},
 		}
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
@@ -205,6 +225,9 @@ func TestSourceVsClassicDifferential(t *testing.T) {
 				}
 				if len(ck) == 0 {
 					t.Fatal("no engine killed the mutant")
+				}
+				if tc.want > 0 && len(ck) != tc.want {
+					t.Fatalf("found %d violating configs, want %d:\n%s", len(ck), tc.want, strings.Join(ck, "\n"))
 				}
 				t.Logf("identical %d violating configs; classic %d runs vs source %d vs source+hash %d (%d joined)",
 					len(ck), c.Runs, s.Runs, h.Runs, h.Joined)

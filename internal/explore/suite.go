@@ -3,37 +3,32 @@ package explore
 // DefaultSweep returns the standard exhaustive sweep over the real
 // protocols at n ≤ 3 (plus the n = 2 compositions): the configuration CI's
 // explore-smoke job (and `paperbench -explore`) must complete with zero
-// violations. Every config carries bounds for both engines, so the
-// differential suite can run the identical sweep under DPOR (the default)
-// and the legacy block enumerator and compare violation sets.
+// violations. The differential suite runs the identical sweep under every
+// engine variant and compares verdicts; the brute-force oracle of the test
+// suite re-checks each config, unreduced, at a shallow branch depth.
 //
-// Bound semantics differ per engine. The enumerator covers every schedule
-// with ≤ MaxBlocks adversarial blocks of ≤ MaxBlock steps before the fair
-// tail — few context switches, arbitrary depth. DPOR covers *every*
-// schedule — arbitrarily many context switches — whose branching lies in
-// the first MaxDepth steps, up to commutativity of independent steps, with
-// the fair tail beyond the branch horizon. MaxDepth values are tuned so
-// the whole suite finishes well under the CI limit on one core; the
-// per-system values reflect how conflict-dense the protocol's opening is
-// (the extraction's processes touch only their own registers for the
-// first ~15 steps, so its race frontier starts later but fans out fast).
+// Each config covers every schedule — arbitrarily many context switches —
+// whose branching lies in the first MaxDepth steps, up to commutativity of
+// independent steps, with the fair tail beyond the branch horizon. MaxDepth
+// values are tuned so the whole suite finishes well under the CI limit on
+// one core; the per-system values reflect how conflict-dense the protocol's
+// opening is (the extraction's processes touch only their own registers for
+// the first ~15 steps, so its race frontier starts later but fans out fast).
 func DefaultSweep() []Config {
 	return []Config{
-		{System: Fig1System(2), MaxDepth: 28, MaxBlocks: 3, MaxBlock: 24, Budget: 2048},
-		{System: Fig1System(3), MaxDepth: 12, MaxBlocks: 3, MaxBlock: 24, Budget: 2048},
-		{System: Fig2System(3, 1), MaxDepth: 12, MaxBlocks: 3, MaxBlock: 24, Budget: 2048},
-		{System: Fig2System(3, 2), MaxDepth: 12, MaxBlocks: 3, MaxBlock: 24, Budget: 2048},
+		{System: Fig1System(2), MaxDepth: 28, Budget: 2048},
+		{System: Fig1System(3), MaxDepth: 12, Budget: 2048},
+		{System: Fig2System(3, 1), MaxDepth: 12, Budget: 2048},
+		{System: Fig2System(3, 2), MaxDepth: 12, Budget: 2048},
 		// The extraction never terminates, so every run costs the full
-		// budget; the shallow block bound (legacy) and the deeper DPOR
-		// branch horizon both keep the sweep quick while covering every
-		// single-preemption neighbourhood and, under DPOR, every
-		// interleaving of the first 18 steps.
-		{System: ExtractOmegaSystem(3), MaxDepth: 18, MaxBlocks: 2, MaxBlock: 24, Budget: 768},
+		// budget; the branch horizon keeps the sweep quick while covering
+		// every interleaving of the first 18 steps.
+		{System: ExtractOmegaSystem(3), MaxDepth: 18, Budget: 768},
 		// The Corollary 11 pipeline (extraction ∘ protocol as parallel task
 		// sets, driven through sim.RunTaskMachines) and its oracle-free
 		// timing-based sibling, safety properties only — see
 		// ComposedSystem/TimedComposedSystem.
-		{System: ComposedSystem(2), MaxDepth: 24, MaxBlocks: 3, MaxBlock: 24, Budget: 4096},
-		{System: TimedComposedSystem(2), MaxDepth: 20, MaxBlocks: 3, MaxBlock: 24, Budget: 4096},
+		{System: ComposedSystem(2), MaxDepth: 24, Budget: 4096},
+		{System: TimedComposedSystem(2), MaxDepth: 20, Budget: 4096},
 	}
 }

@@ -36,12 +36,10 @@ func switchSweep(engine Engine, budget int) *Result {
 		CrashTimes:   []sim.Time{0},
 		MaxDepth:     36,
 		MaxRuns:      400_000,
-		MaxBlocks:    3,
-		MaxBlock:     36,
 		Budget:       2048,
 		// One witness is all these tests need; the first violation stops the
-		// sweep (the full-enumeration comparison lives in
-		// TestDifferentialSwitchMutant).
+		// sweep (the engine comparison lives in
+		// TestSourceVsClassicDifferential/mutants/fig1-skip-on-change).
 		MaxViolations: 1,
 	})
 }
@@ -54,7 +52,7 @@ func TestSwitchMutantCleanAtBudgetZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
 	}
-	for _, engine := range []Engine{EngineDPOR, EngineEnum} {
+	for _, engine := range []Engine{EngineSource, EngineDPOR} {
 		res := switchSweep(engine, 0)
 		if len(res.Violations) != 0 {
 			t.Fatalf("%v: SwitchBudget=0 sweep found violations on the stable-history-correct mutant: %v",
@@ -191,58 +189,6 @@ func TestArtifactRejectsMalformed(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "not legal") {
 		t.Errorf("unexpected replay error: %v", err)
 	}
-}
-
-// TestDifferentialSwitchMutant: the legacy block enumerator executes
-// explicit schedules and makes no independence assumptions, so it honors
-// switch budgets soundly — but a flip-gated witness needs at least four
-// preemption blocks (interleaved round-1 converge, the skipper's solo run,
-// the laggard's decision), beyond the enumerator's usual 3-block bound.
-// At MaxBlocks=4 both engines must find the identical violating
-// (pattern, oracle, property) configurations at SwitchBudget=1 — which is
-// also why the fdlab CLI rejects -switch-budget > 0 under -engine legacy: at
-// the default 3-block bound the enumerator's pass would be vacuous.
-func TestDifferentialSwitchMutant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second sweep skipped under -short (race lane); the full lane runs it")
-	}
-	full := func(engine Engine) *Result {
-		cfg := Config{
-			System:       SkipOnChangeFig1System(2),
-			Engine:       engine,
-			SwitchBudget: 1,
-			FlipTimes:    []sim.Time{14},
-			CrashTimes:   []sim.Time{0},
-			// 31 comfortably contains the witness's last race (the laggard's
-			// round-2 decision poll against the skipper's write, ~depth 29)
-			// and keeps the clean flip-variant configs' full-depth DFS
-			// CI-affordable.
-			MaxDepth:  31,
-			MaxBlocks: 4,
-			MaxBlock:  14,
-			Budget:    2048,
-			// The mutant has exactly two violating configurations on this
-			// grid (one per stable set, symmetric); capping there lets both
-			// sweeps stop once they have them instead of exhausting every
-			// clean config at full depth (a ~9M-run, minutes-long pass that
-			// found nothing more when run uncapped).
-			MaxViolations: 2,
-			Workers:       1,
-		}
-		return Explore(cfg)
-	}
-	d, l := full(EngineDPOR), full(EngineEnum)
-	dk, lk := violationKeys(d), violationKeys(l)
-	if strings.Join(dk, "\n") != strings.Join(lk, "\n") {
-		t.Fatalf("violation sets differ at SwitchBudget=1:\nDPOR (%d):\n%s\nenum (%d):\n%s",
-			len(dk), strings.Join(dk, "\n"), len(lk), strings.Join(lk, "\n"))
-	}
-	if len(dk) != 2 {
-		t.Fatalf("found %d violating configs at SwitchBudget=1, want the mutant's 2:\n%s",
-			len(dk), strings.Join(dk, "\n"))
-	}
-	t.Logf("identical %d violating configs; dpor %d runs (%d pruned) vs enum %d runs",
-		len(dk), d.Runs, d.Pruned, l.Runs)
 }
 
 // TestSwitchMutantEscapesRandomTesting: 500 seeded-random schedules over

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -106,6 +107,19 @@ func TestCheckpointRejectsLoudly(t *testing.T) {
 	})
 	t.Run("stale-schema", func(t *testing.T) {
 		expectErr(t, write(t, func(c *Checkpoint) { c.Schema = CheckpointSchema + 1 }), "schema")
+	})
+	t.Run("schema-1", func(t *testing.T) {
+		// Every schema-1 spec the CLI built carried the block enumerator's
+		// bounds. Decoding drops them, so without the schema check the
+		// stored key would fail to match and the refusal would wrongly
+		// blame a hand edit.
+		spec := `{"system":"fig1","n":3,"f":2,"max_blocks":3,"max_block":24,"max_depth":12,"budget":1024,"crash_times":[0]}`
+		path := filepath.Join(dir, "schema1.json")
+		data := `{"schema":1,"spec":` + spec + `,"spec_key":` + strconv.Quote(spec) + `,"jobs":10,"shards":[]}`
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		expectErr(t, path, "checkpoint schema 1")
 	})
 	t.Run("spec-key-mismatch", func(t *testing.T) {
 		expectErr(t, write(t, func(c *Checkpoint) { c.Spec.MaxDepth = 99 }), "spec_key")

@@ -27,15 +27,12 @@ type Spec struct {
 	// name; zero values take explore's defaults.
 	NoHash        bool    `json:"no_hash,omitempty"`
 	MaxStates     int     `json:"max_states,omitempty"`
-	MaxBlocks     int     `json:"max_blocks,omitempty"`
-	MaxBlock      int     `json:"max_block,omitempty"`
 	MaxDepth      int     `json:"max_depth,omitempty"`
 	MaxRuns       int64   `json:"max_runs,omitempty"`
 	Budget        int64   `json:"budget,omitempty"`
 	CrashTimes    []int64 `json:"crash_times,omitempty"`
 	SwitchBudget  int     `json:"switch_budget,omitempty"`
 	FlipTimes     []int64 `json:"flip_times,omitempty"`
-	Symmetry      bool    `json:"symmetry,omitempty"`
 	MaxViolations int     `json:"max_violations,omitempty"`
 	ShrinkBudget  int     `json:"shrink_budget,omitempty"`
 	// Workers is the lab pool width per worker process. It shapes only how
@@ -77,8 +74,6 @@ func (s Spec) Config() (explore.Config, error) {
 		Engine:        engine,
 		NoHash:        s.NoHash,
 		MaxStates:     s.MaxStates,
-		MaxBlocks:     s.MaxBlocks,
-		MaxBlock:      s.MaxBlock,
 		MaxDepth:      s.MaxDepth,
 		MaxRuns:       s.MaxRuns,
 		Budget:        s.Budget,
@@ -86,7 +81,6 @@ func (s Spec) Config() (explore.Config, error) {
 		CrashTimes:    toTimes(s.CrashTimes),
 		SwitchBudget:  s.SwitchBudget,
 		FlipTimes:     toTimes(s.FlipTimes),
-		Symmetry:      s.Symmetry,
 		MaxViolations: s.MaxViolations,
 		ShrinkBudget:  s.ShrinkBudget,
 		Workers:       s.Workers,
