@@ -26,6 +26,7 @@ const (
 
 type omegaConsensusMachine struct {
 	c        *OmegaConsensus
+	input    sim.Value
 	me       sim.PID
 	v        sim.Value
 	r        int
@@ -39,16 +40,16 @@ type omegaConsensusMachine struct {
 // Machine returns the consensus automaton proposing the given value in
 // resumable step-machine form.
 func (c *OmegaConsensus) Machine(input sim.Value) sim.StepMachine {
-	return &omegaConsensusMachine{c: c, v: input}
+	return &omegaConsensusMachine{c: c, input: input}
 }
 
 func (m *omegaConsensusMachine) Init(ctx sim.MachineContext) {
-	m.me = ctx.ID
-	m.log = ctx.Log
-	m.seam = ctx.Queries
+	*m = omegaConsensusMachine{
+		c: m.c, input: m.input, conv: m.conv,
+		me: ctx.ID, log: ctx.Log, seam: ctx.Queries,
+		v: m.input, r: 1, pc: ocReadD,
+	}
 	m.conv.Bind(ctx)
-	m.r = 1
-	m.pc = ocReadD
 }
 
 func (m *omegaConsensusMachine) Decision() sim.Value { return m.decision }
@@ -113,6 +114,7 @@ const (
 
 type omegaNSetAgreementMachine struct {
 	a        *OmegaNSetAgreement
+	input    sim.Value
 	me       sim.PID
 	v        sim.Value
 	r        int
@@ -130,16 +132,16 @@ type omegaNSetAgreementMachine struct {
 // Machine returns the set-agreement automaton proposing the given value in
 // resumable step-machine form.
 func (a *OmegaNSetAgreement) Machine(input sim.Value) sim.StepMachine {
-	return &omegaNSetAgreementMachine{a: a, v: input}
+	return &omegaNSetAgreementMachine{a: a, input: input}
 }
 
 func (m *omegaNSetAgreementMachine) Init(ctx sim.MachineContext) {
-	m.me = ctx.ID
-	m.log = ctx.Log
-	m.seam = ctx.Queries
+	*m = omegaNSetAgreementMachine{
+		a: m.a, input: m.input, conv: m.conv,
+		me: ctx.ID, log: ctx.Log, seam: ctx.Queries,
+		v: m.input, r: 1, pc: onReadD,
+	}
 	m.conv.Bind(ctx)
-	m.r = 1
-	m.pc = onReadD
 }
 
 func (m *omegaNSetAgreementMachine) Decision() sim.Value { return m.decision }
@@ -221,6 +223,7 @@ const (
 
 type asyncAttemptMachine struct {
 	a        *AsyncAttempt
+	input    sim.Value
 	me       sim.PID
 	v        sim.Value
 	r        int
@@ -233,15 +236,16 @@ type asyncAttemptMachine struct {
 // Machine returns the FD-free automaton proposing the given value in
 // resumable step-machine form.
 func (a *AsyncAttempt) Machine(input sim.Value) sim.StepMachine {
-	return &asyncAttemptMachine{a: a, v: input}
+	return &asyncAttemptMachine{a: a, input: input}
 }
 
 func (m *asyncAttemptMachine) Init(ctx sim.MachineContext) {
-	m.me = ctx.ID
-	m.log = ctx.Log
+	*m = asyncAttemptMachine{
+		a: m.a, input: m.input, conv: m.conv,
+		me: ctx.ID, log: ctx.Log,
+		v: m.input, r: 1, pc: aaReadD,
+	}
 	m.conv.Bind(ctx)
-	m.r = 1
-	m.pc = aaReadD
 }
 
 func (m *asyncAttemptMachine) Decision() sim.Value { return m.decision }
@@ -294,6 +298,7 @@ const (
 
 type boostedMachine struct {
 	b        *BoostedConsensus
+	input    sim.Value
 	me       sim.PID
 	v        sim.Value
 	won      sim.Value
@@ -312,16 +317,16 @@ type boostedMachine struct {
 // Machine returns the boosted-consensus automaton proposing the given value
 // in resumable step-machine form.
 func (b *BoostedConsensus) Machine(input sim.Value) sim.StepMachine {
-	return &boostedMachine{b: b, v: input}
+	return &boostedMachine{b: b, input: input}
 }
 
 func (m *boostedMachine) Init(ctx sim.MachineContext) {
-	m.me = ctx.ID
-	m.log = ctx.Log
-	m.seam = ctx.Queries
+	*m = boostedMachine{
+		b: m.b, input: m.input, conv: m.conv,
+		me: ctx.ID, log: ctx.Log, seam: ctx.Queries,
+		v: m.input, r: 1, pc: bReadD,
+	}
 	m.conv.Bind(ctx)
-	m.r = 1
-	m.pc = bReadD
 }
 
 func (m *boostedMachine) Decision() sim.Value { return m.decision }

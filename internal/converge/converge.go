@@ -143,6 +143,14 @@ func NewInstance(name string, n, k int, impl Impl) *Instance {
 	return inst
 }
 
+// reset restores the instance's two snapshot objects to their initial
+// (all-⊥) contents without taking steps, so the instance can serve a new
+// run.
+func (c *Instance) reset() {
+	c.a.Reset()
+	c.b.Reset()
+}
+
 // K returns the instance's convergence parameter.
 func (c *Instance) K() int { return c.k }
 
@@ -219,4 +227,16 @@ func (s *Series) At(r, k, param int) *Instance {
 		s.m[key] = inst
 	}
 	return inst
+}
+
+// Reset restores every instance created so far to its initial contents and
+// keeps them, so a recycled run finds the same objects — with their names
+// and cached log identities — instead of building them again. Instances a
+// run never reaches stay unobservable, exactly as if they did not exist.
+func (s *Series) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, inst := range s.m {
+		inst.reset()
+	}
 }

@@ -47,8 +47,17 @@ type Machine struct {
 
 // Bind fixes the machine's process identity and the run's instrumentation
 // (the access log; nil when the run is not recorded) from the enclosing
-// automaton's context; call once from StepMachine.Init.
-func (m *Machine) Bind(ctx sim.MachineContext) { m.me, m.log = ctx.ID, ctx.Log }
+// automaton's context and clears any call left over from a previous run;
+// call from StepMachine.Init. The scan buffers and the Adopt hook are kept.
+func (m *Machine) Bind(ctx sim.MachineContext) {
+	*m = Machine{
+		me:    ctx.ID,
+		log:   ctx.Log,
+		scanA: m.scanA[:0],
+		scanB: m.scanB[:0],
+		Adopt: m.Adopt,
+	}
+}
 
 // Start prepares one Converge(inst, v) call. It returns true when the call
 // completed without any atomic step — the 0-converge case, which by

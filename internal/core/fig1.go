@@ -62,6 +62,18 @@ func NewFig1(n int, upsilon sim.Oracle, impl converge.Impl) *Fig1 {
 	}
 }
 
+// Reset restores the shared memory to its initial state and installs a new
+// Υ history, so the value (and the machines built from it) can serve
+// another run: D, every converge instance and every round register created
+// so far are reset in place, keeping their names.
+func (g *Fig1) Reset(upsilon sim.Oracle) {
+	g.upsilon = upsilon
+	g.top.Reset()
+	g.sub.Reset()
+	g.d.Reset()
+	g.rounds.reset()
+}
+
 // K returns the agreement parameter: the maximum number of distinct decision
 // values, n−1 for n processes.
 func (g *Fig1) K() int { return g.n - 1 }
@@ -160,4 +172,14 @@ func (rr *roundRegs) at(r int) (*memory.Register[memory.Opt[sim.Value]], *memory
 		rr.m[r] = pair
 	}
 	return pair.dr, pair.stable
+}
+
+// reset restores every round register created so far to its initial value.
+func (rr *roundRegs) reset() {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	for _, pair := range rr.m {
+		pair.dr.Reset()
+		pair.stable.Reset()
+	}
 }

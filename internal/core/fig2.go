@@ -65,6 +65,17 @@ func NewFig2(n, f int, upsilon sim.Oracle, impl converge.Impl) *Fig2 {
 	}
 }
 
+// Reset restores the shared memory to its initial state and installs a new
+// Υ^f history, like Fig1.Reset; the snapshot objects A[r][k] are reset too.
+func (g *Fig2) Reset(upsilon sim.Oracle) {
+	g.upsilon = upsilon
+	g.top.Reset()
+	g.sub.Reset()
+	g.d.Reset()
+	g.rounds.reset()
+	g.snaps.reset()
+}
+
 // K returns the agreement parameter f: at most f distinct decisions.
 func (g *Fig2) K() int { return g.f }
 
@@ -197,4 +208,13 @@ func (ss *snapSeries) at(r, k, usize int) memory.Snapshot[sim.Value] {
 		ss.m[key] = s
 	}
 	return s
+}
+
+// reset restores every snapshot object created so far to all-⊥.
+func (ss *snapSeries) reset() {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for _, s := range ss.m {
+		s.Reset()
+	}
 }

@@ -53,12 +53,13 @@ const (
 )
 
 type fig1Machine struct {
-	g  *Fig1
-	me sim.PID
-	v  sim.Value
-	r  int
-	k  int
-	u  sim.Set
+	g     *Fig1
+	input sim.Value
+	me    sim.PID
+	v     sim.Value
+	r     int
+	k     int
+	u     sim.Set
 
 	dr     *memory.Register[memory.Opt[sim.Value]]
 	stable *memory.Register[bool]
@@ -85,16 +86,20 @@ type fig1Machine struct {
 // Machine returns the Figure 1 automaton proposing the given value in
 // resumable step-machine form — Body(input) for the machine runner.
 func (g *Fig1) Machine(input sim.Value) sim.StepMachine {
-	return &fig1Machine{g: g, v: input}
+	return &fig1Machine{g: g, input: input}
 }
 
+// Init restores the full initial state — everything but the shared memory
+// g, the input and the mutation hooks — so a machine can start a new run
+// on a reset Fig1.
 func (m *fig1Machine) Init(ctx sim.MachineContext) {
-	m.me = ctx.ID
-	m.log = ctx.Log
-	m.seam = ctx.Queries
+	*m = fig1Machine{
+		g: m.g, input: m.input, conv: m.conv,
+		skipOnChange: m.skipOnChange, garbleDecide: m.garbleDecide, garbleEcho: m.garbleEcho,
+		me: ctx.ID, log: ctx.Log, seam: ctx.Queries,
+		v: m.input, r: 1, pc: f1ReadD,
+	}
 	m.conv.Bind(ctx)
-	m.r = 1
-	m.pc = f1ReadD
 }
 
 func (m *fig1Machine) Decision() sim.Value { return m.decision }
@@ -227,12 +232,13 @@ const (
 )
 
 type fig2Machine struct {
-	g  *Fig2
-	me sim.PID
-	v  sim.Value
-	r  int
-	k  int
-	u  sim.Set
+	g     *Fig2
+	input sim.Value
+	me    sim.PID
+	v     sim.Value
+	r     int
+	k     int
+	u     sim.Set
 
 	dr     *memory.Register[memory.Opt[sim.Value]]
 	stable *memory.Register[bool]
@@ -258,16 +264,19 @@ type fig2Machine struct {
 // Machine returns the Figure 2 automaton proposing the given value in
 // resumable step-machine form.
 func (g *Fig2) Machine(input sim.Value) sim.StepMachine {
-	return &fig2Machine{g: g, v: input, minEntries: g.n - g.f}
+	return &fig2Machine{g: g, input: input, minEntries: g.n - g.f}
 }
 
+// Init restores the full initial state, as fig1Machine.Init does; the scan
+// buffer keeps its capacity.
 func (m *fig2Machine) Init(ctx sim.MachineContext) {
-	m.me = ctx.ID
-	m.log = ctx.Log
-	m.seam = ctx.Queries
+	*m = fig2Machine{
+		g: m.g, input: m.input, conv: m.conv, scan: m.scan[:0],
+		minEntries: m.minEntries, skipOnChange: m.skipOnChange,
+		me: ctx.ID, log: ctx.Log, seam: ctx.Queries,
+		v: m.input, r: 1, pc: f2ReadD,
+	}
 	m.conv.Bind(ctx)
-	m.r = 1
-	m.pc = f2ReadD
 }
 
 func (m *fig2Machine) Decision() sim.Value { return m.decision }
@@ -468,13 +477,14 @@ func (e *Extraction) Machine() sim.StepMachine {
 }
 
 func (m *extractionMachine) Init(ctx sim.MachineContext) {
-	m.me = ctx.ID
-	m.log = ctx.Log
-	m.seam = ctx.Queries
-	m.full = sim.FullSet(m.e.n)
-	m.last = make([]int64, m.e.n)
-	m.fresh = make([]int, m.e.n)
-	m.pc = exInitQuery
+	*m = extractionMachine{
+		e: m.e, mut: m.mut,
+		me: ctx.ID, log: ctx.Log, seam: ctx.Queries,
+		full:  sim.FullSet(m.e.n),
+		last:  make([]int64, m.e.n),
+		fresh: make([]int, m.e.n),
+		pc:    exInitQuery,
+	}
 }
 
 func (m *extractionMachine) Decision() sim.Value { return 0 }
@@ -667,16 +677,17 @@ func (h *HeartbeatUpsilon) Machine() sim.StepMachine {
 }
 
 func (m *heartbeatMachine) Init(ctx sim.MachineContext) {
-	m.me = ctx.ID
-	m.log = ctx.Log
-	m.lastSeen = make([]int64, m.h.n)
-	m.staleFor = make([]int64, m.h.n)
-	m.threshold = make([]int64, m.h.n)
+	*m = heartbeatMachine{
+		h: m.h, me: ctx.ID, log: ctx.Log,
+		lastSeen:  make([]int64, m.h.n),
+		staleFor:  make([]int64, m.h.n),
+		threshold: make([]int64, m.h.n),
+		beats:     make([]int64, m.h.n),
+		pc:        hbInitWrite,
+	}
 	for j := range m.threshold {
 		m.threshold[j] = m.h.initialThreshold
 	}
-	m.beats = make([]int64, m.h.n)
-	m.pc = hbInitWrite
 }
 
 func (m *heartbeatMachine) Decision() sim.Value { return 0 }

@@ -9,9 +9,20 @@
 // explorer closes that gap for small configurations (n ≤ 4): it enumerates a
 // precisely-defined family of schedules × crash patterns, replays each one
 // through sim.RunMachines (or sim.RunTaskMachines for the multi-task
-// compositions) on fresh shared state (runs are deterministic in the
-// schedule, so replay *is* cloning), and checks declarative Property values
-// against every completed run.
+// compositions) on shared state equal to freshly built state (runs are
+// deterministic in the schedule, so replay *is* cloning), and checks
+// declarative Property values against every completed run.
+//
+// Equal to fresh, not necessarily fresh: the Figure 1 and Figure 2 systems
+// recycle a finished run's shared objects and machines through a sync.Pool
+// (Instance.Release), resetting them in place, because rebuilding the whole
+// shared memory dominated the per-run cost of short runs. Reset objects
+// keep their names and cached log identities, so a recycled run recorded
+// into the same AccessLog interns nothing again. An instance that was not
+// released is never handed out twice, and the tests in recycle_test.go pin
+// recycled runs equal to fresh ones access by access and digest by digest.
+// The extraction and composed systems still build every run from scratch:
+// their runs are long, so set-up is a small share of their cost.
 //
 // # Engines
 //

@@ -473,8 +473,10 @@ func bumpMax(m *atomic.Int64, v int64) {
 	}
 }
 
-// execute runs one simulation of sys under the given schedule on fresh
-// shared state and returns the completed Run (properties not yet checked).
+// execute runs one simulation of sys under the given schedule on shared
+// state equal to freshly built state, and returns the completed Run
+// (properties not yet checked). The instance is released once the run is
+// finished; the Run keeps nothing of it but the proposals.
 // log, when non-nil, records every step's shared-object access set; the
 // instance's detector histories are then registered with a query seam so
 // queries and history flips are part of those sets. An unrecorded run needs
@@ -521,6 +523,9 @@ func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Sch
 	}
 	if inst.Finish != nil {
 		inst.Finish(run)
+	}
+	if inst.Release != nil {
+		inst.Release()
 	}
 	return run
 }

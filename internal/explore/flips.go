@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"weakestfd/internal/sim"
@@ -84,13 +85,16 @@ func flipName(base string, flips []FlipPhase) string {
 		return base
 	}
 	var b strings.Builder
+	b.Grow(len(base) + 6 + 16*len(flips))
 	b.WriteString(base)
 	b.WriteString(" pre[")
 	for i, f := range flips {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%v<%d", f.Out, int64(f.Until))
+		b.WriteString(f.Out.String())
+		b.WriteByte('<')
+		b.WriteString(strconv.FormatInt(int64(f.Until), 10))
 	}
 	b.WriteByte(']')
 	return b.String()

@@ -17,8 +17,8 @@ type witness struct {
 }
 
 // shrink minimizes a violating run along three axes, every candidate
-// re-replayed from fresh state through a sim.FixedSchedule and accepted only
-// if the same property still fails — the result is a verified
+// re-replayed from the initial state through a sim.FixedSchedule and
+// accepted only if the same property still fails — the result is a verified
 // counterexample by construction:
 //
 //  1. Schedule: binary prefix truncation (the tail after the violation is

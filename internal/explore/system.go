@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"weakestfd/internal/check"
 	"weakestfd/internal/converge"
@@ -42,8 +43,9 @@ type NamedHistory struct {
 	H    sim.Oracle
 }
 
-// Instance is one run's freshly built shared state: the per-process
-// machines plus the hooks the explorer wires into the simulation.
+// Instance is one run's shared state, equal to freshly built state: the
+// per-process machines plus the hooks the explorer wires into the
+// simulation.
 type Instance struct {
 	// Machines are the per-process automata (one per PID). Single-task
 	// systems set Machines; multi-task systems set Tasks instead.
@@ -70,11 +72,19 @@ type Instance struct {
 	// that consume no oracle (timed-composed) or whose detector is emulated
 	// from shared state already under access tracking.
 	Histories []NamedHistory
+	// Release, when non-nil, hands the instance's state back to its system
+	// for the next Instantiate; execute calls it once the run is finished
+	// (after Finish). Nothing of the instance may be used after Release,
+	// and an instance that is never released is never handed out again.
+	Release func()
 }
 
-// System is one protocol (or reduction) under exploration. Instantiate must
-// build completely fresh shared state on every call: the explorer replays
-// thousands of runs and two runs may never share memory.
+// System is one protocol (or reduction) under exploration. Every
+// Instantiate call must return state equal to freshly built state, and no
+// two unreleased instances may share memory: the explorer replays thousands
+// of runs, and a run must not see anything of another. A system may
+// recycle a released instance's objects (resetting them) instead of
+// building new ones.
 type System interface {
 	// Name is the registry name ("fig1", "fig2", …).
 	Name() string
@@ -94,7 +104,8 @@ type System interface {
 	// produces outputs that pass. Systems without an oracle reject every
 	// flip.
 	LegalFlipOut(out sim.Set) error
-	// Instantiate builds one run's machines and hooks.
+	// Instantiate returns one run's machines and hooks, in a new Machines
+	// slice on every call.
 	Instantiate(pattern sim.Pattern, o OracleChoice) Instance
 	// Properties are the claims checked on every completed run.
 	Properties() []Property
@@ -231,22 +242,62 @@ func legalStableSets(spec core.UpsilonSpec, pattern sim.Pattern) []OracleChoice 
 	return out
 }
 
+// pooledRun is one built run of a Υ-based protocol (Figure 1 or 2): its
+// shared memory, the machines built on it and their fixed inputs. The
+// protocol systems recycle these through a sync.Pool (see the package
+// documentation).
+type pooledRun struct {
+	shared interface {
+		Reset(upsilon sim.Oracle)
+		K() int
+	} // *core.Fig1 or *core.Fig2
+	machines  []sim.StepMachine
+	proposals []sim.Value
+	histories [1]NamedHistory
+	release   func()
+}
+
+// pooledInstance returns a run under history h: a released one from pool,
+// reset to its initial state, or one that build makes when the pool is
+// empty. The instance's Release puts the run back.
+func pooledInstance(pool *sync.Pool, h sim.Oracle, build func() *pooledRun) Instance {
+	r, _ := pool.Get().(*pooledRun)
+	if r == nil {
+		r = build()
+		r.release = func() { pool.Put(r) }
+	} else {
+		r.shared.Reset(h)
+	}
+	r.histories[0] = NamedHistory{Name: "H(U)", H: h}
+	return Instance{
+		// A new slice on every call: callers may wrap the machines in place.
+		Machines:  append([]sim.StepMachine(nil), r.machines...),
+		Proposals: r.proposals,
+		K:         r.shared.K(),
+		Histories: r.histories[:],
+		Release:   r.release,
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Figure 1 (and its mutation-testing variant)
 
 type fig1System struct {
-	n   int
-	mut core.Fig1Mutation
+	n    int
+	mut  core.Fig1Mutation
+	runs *sync.Pool // of *pooledRun
 }
 
 // Fig1System explores the paper's Figure 1: Υ-based n−1-set agreement among
 // n processes, wait-free.
-func Fig1System(n int) System { return fig1System{n: n} }
+func Fig1System(n int) System { return fig1System{n: n, runs: new(sync.Pool)} }
 
 // BrokenFig1System is Figure 1 with the converge adopt rule broken
 // (core.MutWrongAdopt) — the intentionally wrong variant the mutation tests
 // use to prove the explorer catches what seeded-random testing misses.
-func BrokenFig1System(n int) System { return fig1System{n: n, mut: core.MutWrongAdopt} }
+func BrokenFig1System(n int) System {
+	return fig1System{n: n, mut: core.MutWrongAdopt, runs: new(sync.Pool)}
+}
 
 // SkipOnChangeFig1System is Figure 1 with the detector-change escape broken
 // (core.MutSkipOnChange): provably correct under every stable-from-0
@@ -254,20 +305,26 @@ func BrokenFig1System(n int) System { return fig1System{n: n, mut: core.MutWrong
 // under an unstable prefix. It calibrates the SwitchBudget dimension: the
 // sweep must pass at SwitchBudget=0 and find (and shrink) the violation at
 // SwitchBudget>=1.
-func SkipOnChangeFig1System(n int) System { return fig1System{n: n, mut: core.MutSkipOnChange} }
+func SkipOnChangeFig1System(n int) System {
+	return fig1System{n: n, mut: core.MutSkipOnChange, runs: new(sync.Pool)}
+}
 
 // GarbledFig1System is Figure 1 with the commit path corrupted
 // (core.MutGarbledDecide): every deciding run writes an unproposed value,
 // so the root fair run already violates Validity — the cheapest mutant in
 // the zoo, pinning the validity property end to end.
-func GarbledFig1System(n int) System { return fig1System{n: n, mut: core.MutGarbledDecide} }
+func GarbledFig1System(n int) System {
+	return fig1System{n: n, mut: core.MutGarbledDecide, runs: new(sync.Pool)}
+}
 
 // GarbledEchoFig1System is Figure 1 with the citizen echo corrupted
 // (core.MutGarbledEcho): dead code under stable output Π, but any stable
 // Υ output that excludes a live process turns that process into a citizen
 // whose poisoned D[r] echo everyone leaving the round adopts — the oracle
 // enumeration alone (no schedule branching) reaches the kill.
-func GarbledEchoFig1System(n int) System { return fig1System{n: n, mut: core.MutGarbledEcho} }
+func GarbledEchoFig1System(n int) System {
+	return fig1System{n: n, mut: core.MutGarbledEcho, runs: new(sync.Pool)}
+}
 
 func (s fig1System) Name() string {
 	switch s.mut {
@@ -297,18 +354,15 @@ func (s fig1System) LegalFlipOut(out sim.Set) error {
 
 func (s fig1System) Instantiate(pattern sim.Pattern, o OracleChoice) Instance {
 	h := upsilonHistory(core.Upsilon(s.n), pattern, o)
-	g := core.NewFig1(s.n, h, converge.UseAtomic)
-	proposals := canonicalProposals(s.n)
-	machines := make([]sim.StepMachine, s.n)
-	for i := range machines {
-		machines[i] = g.MutantMachine(proposals[i], s.mut)
-	}
-	return Instance{
-		Machines:  machines,
-		Proposals: proposals,
-		K:         g.K(),
-		Histories: []NamedHistory{{Name: "H(U)", H: h}},
-	}
+	return pooledInstance(s.runs, h, func() *pooledRun {
+		g := core.NewFig1(s.n, h, converge.UseAtomic)
+		proposals := canonicalProposals(s.n)
+		machines := make([]sim.StepMachine, s.n)
+		for i := range machines {
+			machines[i] = g.MutantMachine(proposals[i], s.mut)
+		}
+		return &pooledRun{shared: g, machines: machines, proposals: proposals}
+	})
 }
 
 func (s fig1System) Properties() []Property {
@@ -321,18 +375,19 @@ func (s fig1System) Properties() []Property {
 type fig2System struct {
 	n, f int
 	mut  core.Fig2Mutation
+	runs *sync.Pool // of *pooledRun
 }
 
 // Fig2System explores the paper's Figure 2: Υ^f-based f-set agreement among
 // n processes in E_f.
-func Fig2System(n, f int) System { return fig2System{n: n, f: f} }
+func Fig2System(n, f int) System { return fig2System{n: n, f: f, runs: new(sync.Pool)} }
 
 // BrokenAdoptFig2System is Figure 2 with the converge adopt rule broken
 // (core.MutF2WrongAdopt): the top-level (f)-converge race yields two solo
 // commits of different values, violating f-set Agreement — the same shape
 // as fig1-broken-adopt, proving the explorer's reach extends to Figure 2.
 func BrokenAdoptFig2System(n, f int) System {
-	return fig2System{n: n, f: f, mut: core.MutF2WrongAdopt}
+	return fig2System{n: n, f: f, mut: core.MutF2WrongAdopt, runs: new(sync.Pool)}
 }
 
 // SkipOnChangeFig2System is Figure 2 with the detector-change escape
@@ -341,7 +396,7 @@ func BrokenAdoptFig2System(n, f int) System {
 // Stable[r] and adopting D[r]. Dead code under stable-from-0 histories —
 // only a SwitchBudget sweep reaches it, mirroring fig1-skip-on-change.
 func SkipOnChangeFig2System(n, f int) System {
-	return fig2System{n: n, f: f, mut: core.MutF2SkipOnChange}
+	return fig2System{n: n, f: f, mut: core.MutF2SkipOnChange, runs: new(sync.Pool)}
 }
 
 // StarvedWaitFig2System is Figure 2 with the gladiator scan threshold
@@ -349,7 +404,7 @@ func SkipOnChangeFig2System(n, f int) System {
 // parks every correct one in the lines 17-19 wait loop forever — a
 // termination failure whose witness crash is load-bearing.
 func StarvedWaitFig2System(n, f int) System {
-	return fig2System{n: n, f: f, mut: core.MutF2StarvedWait}
+	return fig2System{n: n, f: f, mut: core.MutF2StarvedWait, runs: new(sync.Pool)}
 }
 
 func (s fig2System) Name() string {
@@ -378,18 +433,15 @@ func (s fig2System) LegalFlipOut(out sim.Set) error {
 
 func (s fig2System) Instantiate(pattern sim.Pattern, o OracleChoice) Instance {
 	h := upsilonHistory(core.UpsilonF(s.n, s.f), pattern, o)
-	g := core.NewFig2(s.n, s.f, h, converge.UseAtomic)
-	proposals := canonicalProposals(s.n)
-	machines := make([]sim.StepMachine, s.n)
-	for i := range machines {
-		machines[i] = g.MutantMachine(proposals[i], s.mut)
-	}
-	return Instance{
-		Machines:  machines,
-		Proposals: proposals,
-		K:         g.K(),
-		Histories: []NamedHistory{{Name: "H(U)", H: h}},
-	}
+	return pooledInstance(s.runs, h, func() *pooledRun {
+		g := core.NewFig2(s.n, s.f, h, converge.UseAtomic)
+		proposals := canonicalProposals(s.n)
+		machines := make([]sim.StepMachine, s.n)
+		for i := range machines {
+			machines[i] = g.MutantMachine(proposals[i], s.mut)
+		}
+		return &pooledRun{shared: g, machines: machines, proposals: proposals}
+	})
 }
 
 func (s fig2System) Properties() []Property {

@@ -70,6 +70,15 @@ func (r *Register[T]) Write(p *sim.Proc, v T) {
 	p.Step("write "+r.name, func() { r.v = v })
 }
 
+// Reset restores the register's initial value (T's zero value) without
+// taking a step, so a run's shared state can be recycled for the next run.
+// The name and the cached log identity are kept: a reset register recorded
+// into the same AccessLog reuses its interned ID.
+func (r *Register[T]) Reset() {
+	var zero T
+	r.v = zero
+}
+
 // Inspect returns the register's value without taking a step. It exists for
 // the benefit of schedules, stop predicates and post-run checks, all of
 // which run while no process is executing; algorithm bodies must not use it.
@@ -102,6 +111,13 @@ func (a *Array[T]) Read(p *sim.Proc, i sim.PID) T { return a.regs[i].Read(p) }
 
 // Write writes register i; one atomic step.
 func (a *Array[T]) Write(p *sim.Proc, i sim.PID, v T) { a.regs[i].Write(p, v) }
+
+// Reset restores every register's initial value without taking steps.
+func (a *Array[T]) Reset() {
+	for _, r := range a.regs {
+		r.Reset()
+	}
+}
 
 // Collect reads all n registers one step at a time (a non-atomic collect).
 func (a *Array[T]) Collect(p *sim.Proc) []T {

@@ -25,6 +25,10 @@ type Snapshot[T any] interface {
 	Scan(p *sim.Proc) []Opt[T]
 	// N returns the number of positions.
 	N() int
+	// Reset restores every position to ⊥ without taking a step, so a run's
+	// shared state can be recycled for the next run. It is bookkeeping
+	// between runs, never an operation of a protocol.
+	Reset()
 }
 
 // SnapshotFactory builds snapshot objects; protocols that need families of
@@ -51,6 +55,11 @@ type atomicSnapshot[T any] struct {
 }
 
 func (s *atomicSnapshot[T]) N() int { return len(s.cells) }
+
+// Reset implements Snapshot. The name and the cached per-position log
+// identities are kept, so a reset snapshot recorded into the same AccessLog
+// neither formats nor interns its cell names again.
+func (s *atomicSnapshot[T]) Reset() { clear(s.cells) }
 
 func (s *atomicSnapshot[T]) Update(p *sim.Proc, i sim.PID, v T) {
 	p.Step("update "+s.name, func() { s.cells[i] = Some(v) })
@@ -97,6 +106,8 @@ type afekSnapshot[T any] struct {
 }
 
 func (s *afekSnapshot[T]) N() int { return s.regs.N() }
+
+func (s *afekSnapshot[T]) Reset() { s.regs.Reset() }
 
 func (s *afekSnapshot[T]) Update(p *sim.Proc, i sim.PID, v T) {
 	view := s.Scan(p)

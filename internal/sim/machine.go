@@ -62,7 +62,10 @@ type MachineContext struct {
 // going through Proc: with one machine stepping at a time, every access is
 // trivially atomic.
 type StepMachine interface {
-	// Init is called exactly once, before the machine's first step.
+	// Init is called at the start of every run, before the machine's first
+	// step, and restores the machine's full initial state: a machine whose
+	// shared memory has been reset may be handed to a new run, and that run
+	// must behave exactly like one on a freshly built machine.
 	Init(ctx MachineContext)
 	// Step performs the machine's next atomic step at time t.
 	Step(t Time) MachineStatus
