@@ -82,7 +82,7 @@ type BenchResult struct {
 	StepsPerSec float64 `json:"steps_per_sec,omitempty"`
 	// RunsPerOp is the number of schedules one explorer op executes
 	// (deterministic; the gate checks it exactly). Explorer rows report it
-	// instead of StepsPerOp.
+	// beside StepsPerOp, which for them is explore.Result.Steps.
 	RunsPerOp float64 `json:"runs_per_op,omitempty"`
 }
 
@@ -117,10 +117,10 @@ func newBenchResult(name string, r testing.BenchmarkResult, stepsPerOp float64) 
 }
 
 // newExploreResult is newBenchResult for an explorer sweep, which counts
-// executed runs rather than simulated steps.
-func newExploreResult(name string, r testing.BenchmarkResult, runsPerOp int64) BenchResult {
-	out := newBenchResult(name, r, 0)
-	out.RunsPerOp = float64(runsPerOp)
+// its executed runs besides the steps they simulated.
+func newExploreResult(name string, r testing.BenchmarkResult, res *explore.Result) BenchResult {
+	out := newBenchResult(name, r, float64(res.Steps))
+	out.RunsPerOp = float64(res.Runs)
 	return out
 }
 
@@ -229,20 +229,21 @@ func runBenchJSON(path string, seeds int) error {
 	var classicRuns, sourceRuns, sourceNs, budget1SourceRuns float64
 	for _, eb := range exploreBenchmarks() {
 		eb := eb
-		runs, violations := eb.run()
-		if violations != 0 {
-			return fmt.Errorf("explore/%s: %d violations on the real protocol", eb.name, violations)
+		sweep := eb.run()
+		if n := len(sweep.Violations); n != 0 {
+			return fmt.Errorf("explore/%s: %d violations on the real protocol", eb.name, n)
 		}
+		runs := sweep.Runs
 		res := benchBest(2, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if r, _ := eb.run(); r != runs {
+				if r := eb.run().Runs; r != runs {
 					b.Fatalf("run count drifted: %v -> %v", runs, r)
 				}
 			}
 		})
 		report.Benchmarks = append(report.Benchmarks,
-			newExploreResult("explore/"+eb.name, res, runs))
+			newExploreResult("explore/"+eb.name, res, sweep))
 		switch eb.name {
 		case "fig1-n3/classic":
 			classicRuns = float64(runs)
@@ -260,11 +261,11 @@ func runBenchJSON(path string, seeds int) error {
 		// One untimed classic reference pass for the flip-reduction ratio:
 		// wall-clocking classic at budget 1 (~1.3M runs per op) would dominate
 		// the whole suite, and only its deterministic run count matters.
-		classicB1Runs, violations := exploreSweep(explore.EngineDPOR, 1)()
-		if violations != 0 {
-			return fmt.Errorf("explore/fig1-n3/budget1-classic reference: %d violations on the real protocol", violations)
+		classicB1 := exploreSweep(explore.EngineDPOR, 1)()
+		if n := len(classicB1.Violations); n != 0 {
+			return fmt.Errorf("explore/fig1-n3/budget1-classic reference: %d violations on the real protocol", n)
 		}
-		report.FlipReduction = float64(classicB1Runs) / budget1SourceRuns
+		report.FlipReduction = float64(classicB1.Runs) / budget1SourceRuns
 	}
 
 	// Fleet throughput: the identical pinned source sweep sharded across two
@@ -272,15 +273,15 @@ func runBenchJSON(path string, seeds int) error {
 	// mode). The run count must equal the single-process sweep's — sharding
 	// the configuration space is result-neutral — so the gate compares
 	// runs/op exactly across the two entries.
-	fleetRes, fleetRuns, err := benchFleet()
+	fleetRes, fleetSweep, err := benchFleet()
 	if err != nil {
 		return err
 	}
-	if float64(fleetRuns) != sourceRuns {
-		return fmt.Errorf("explore/fig1-n3/fleet-2proc executed %d runs, want the single-process count %v", fleetRuns, sourceRuns)
+	if float64(fleetSweep.Runs) != sourceRuns {
+		return fmt.Errorf("explore/fig1-n3/fleet-2proc executed %d runs, want the single-process count %v", fleetSweep.Runs, sourceRuns)
 	}
 	report.Benchmarks = append(report.Benchmarks,
-		newExploreResult("explore/fig1-n3/fleet-2proc", fleetRes, fleetRuns))
+		newExploreResult("explore/fig1-n3/fleet-2proc", fleetRes, fleetSweep))
 	if fleetNs := float64(fleetRes.T.Nanoseconds()) / float64(fleetRes.N); fleetNs > 0 {
 		report.FleetVsSingleProcess = sourceNs / fleetNs
 	}
@@ -304,10 +305,10 @@ func runBenchJSON(path string, seeds int) error {
 }
 
 // exploreBench is one explorer-throughput benchmark: a pinned sweep run once
-// per op. The returned runs count is deterministic in the configuration.
+// per op. The result's counts are deterministic in the configuration.
 type exploreBench struct {
 	name string
-	run  func() (runs int64, violations int)
+	run  func() *explore.Result
 }
 
 func exploreBenchmarks() []exploreBench {
@@ -326,9 +327,9 @@ func exploreBenchmarks() []exploreBench {
 }
 
 // exploreSweep runs the pinned sweep once at the given switch budget.
-func exploreSweep(engine explore.Engine, switchBudget int) func() (int64, int) {
-	return func() (int64, int) {
-		res := explore.Explore(explore.Config{
+func exploreSweep(engine explore.Engine, switchBudget int) func() *explore.Result {
+	return func() *explore.Result {
+		return explore.Explore(explore.Config{
 			System:       explore.Fig1System(3),
 			Engine:       engine,
 			SwitchBudget: switchBudget,
@@ -337,17 +338,16 @@ func exploreSweep(engine explore.Engine, switchBudget int) func() (int64, int) {
 			CrashTimes:   []sim.Time{0},
 			Workers:      1,
 		})
-		return res.Runs, len(res.Violations)
 	}
 }
 
 // benchFleet measures the pinned fig1 n=3 source sweep through the fleet
 // coordinator at two worker processes, returning the best-of-two result and
-// the (deterministic) executed-run count.
-func benchFleet() (testing.BenchmarkResult, int64, error) {
+// the merged sweep result (its counts are deterministic).
+func benchFleet() (testing.BenchmarkResult, *explore.Result, error) {
 	self, err := os.Executable()
 	if err != nil {
-		return testing.BenchmarkResult{}, 0, fmt.Errorf("locating own binary for the fleet benchmark: %w", err)
+		return testing.BenchmarkResult{}, nil, fmt.Errorf("locating own binary for the fleet benchmark: %w", err)
 	}
 	// The Spec mirror of exploreBenchmarks' pinned sweep. MaxViolations is
 	// effectively unbounded so the per-worker violation budget cannot couple
@@ -357,23 +357,23 @@ func benchFleet() (testing.BenchmarkResult, int64, error) {
 		MaxDepth: 12, Budget: 2048, CrashTimes: []int64{0},
 		MaxViolations: 1 << 20, Workers: 1,
 	}
-	run := func() (int64, error) {
+	run := func() (*explore.Result, error) {
 		sum, err := fleet.Run(fleet.Options{
 			Spec:      spec,
 			Procs:     2,
 			WorkerCmd: []string{self, "-fleet-worker"},
 		})
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		if n := len(sum.Result.Violations); n != 0 {
-			return 0, fmt.Errorf("%d violations on the real protocol", n)
+			return nil, fmt.Errorf("%d violations on the real protocol", n)
 		}
-		return sum.Result.Runs, nil
+		return sum.Result, nil
 	}
-	runs, err := run()
+	sweep, err := run()
 	if err != nil {
-		return testing.BenchmarkResult{}, 0, fmt.Errorf("explore/fig1-n3/fleet-2proc: %w", err)
+		return testing.BenchmarkResult{}, nil, fmt.Errorf("explore/fig1-n3/fleet-2proc: %w", err)
 	}
 	res := benchBest(2, func(b *testing.B) {
 		b.ReportAllocs()
@@ -382,12 +382,12 @@ func benchFleet() (testing.BenchmarkResult, int64, error) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if r != runs {
-				b.Fatalf("run count drifted: %v -> %v", runs, r)
+			if r.Runs != sweep.Runs {
+				b.Fatalf("run count drifted: %v -> %v", sweep.Runs, r.Runs)
 			}
 		}
 	})
-	return res, runs, nil
+	return res, sweep, nil
 }
 
 // familyBench is one per-family benchmark: a fixed configuration of the

@@ -24,6 +24,19 @@
 // The extraction and composed systems still build every run from scratch:
 // their runs are long, so set-up is a small share of their cost.
 //
+// The search loop recycles too. Each configuration's search owns one grant
+// record and sim.FixedSchedule (Reset per run), one Run with its
+// sim.Report (filled by sim.RunMachinesInto, maps cleared in place) and
+// query seam, slabs for the join cache's tails, and the storage of its
+// stack nodes, so a run of the steady-state loop allocates nothing for the
+// search itself. The contract this puts on every Property and
+// Instance.Finish: a *Run, its Schedule and its Report are valid only
+// during the call, and are overwritten by the next run of the search.
+// Whatever must outlive the call is copied — the shrinker copies the
+// schedule it minimizes, and a Violation and its Artifact hold only copies.
+// One-shot executions (shrink replays, witness re-executions, artifact
+// replays) get a Run of their own.
+//
 // # Engines
 //
 // Two engines enumerate the schedule space; both close every run with a

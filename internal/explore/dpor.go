@@ -124,19 +124,63 @@ type dporNode struct {
 // dporRecord is one run's scheduling transcript: the forced prefix is
 // replayed through a sim.FixedSchedule (round-robin fallback closes the
 // run fairly) whose OnGrant hook records the enabled set and grant of
-// every step for the post-run dependency analysis.
+// every step for the post-run dependency analysis. A search owns one
+// record and rewinds it for every run, so granted is overwritten by the
+// next run: a Run.Schedule aliasing it must be copied to outlive the run.
 type dporRecord struct {
 	granted []sim.PID
 	enabled []sim.Set
+	sched   sim.FixedSchedule
 }
 
+// schedule rewinds the record and returns its schedule, set to replay
+// prefix.
 func (r *dporRecord) schedule(prefix []sim.PID) *sim.FixedSchedule {
-	s := sim.NewFixedSchedule(prefix)
-	s.OnGrant = func(_ int, _ sim.Time, enabled sim.Set, chosen sim.PID) {
-		r.granted = append(r.granted, chosen)
-		r.enabled = append(r.enabled, enabled)
+	r.granted = r.granted[:0]
+	r.enabled = r.enabled[:0]
+	if r.sched.OnGrant == nil {
+		r.sched.OnGrant = r.grant
 	}
-	return s
+	r.sched.Reset(prefix)
+	return &r.sched
+}
+
+// grant is the schedule's OnGrant hook.
+func (r *dporRecord) grant(_ int, _ sim.Time, enabled sim.Set, chosen sim.PID) {
+	r.granted = append(r.granted, chosen)
+	r.enabled = append(r.enabled, enabled)
+}
+
+// accPool recycles the access-set copies a search stack owns: a node's
+// chosen-step accesses, and the same arrays once retired into its slept
+// entries. When the search pops back to depth i, the nodes beyond i are
+// dead — inherited sleep entries only ever borrow arrays from shallower
+// nodes — so their arrays return to the pool for the next extend.
+type accPool [][]sim.Access
+
+// copyOf returns an owned copy of acc, in a recycled array when one is
+// free.
+func (p *accPool) copyOf(acc []sim.Access) []sim.Access {
+	var dst []sim.Access
+	if k := len(*p); k > 0 {
+		dst = (*p)[k-1]
+		*p = (*p)[:k-1]
+	}
+	return append(dst, acc...)
+}
+
+// release moves the arrays a dead node owns into the pool — its accesses
+// (nil once retired) and its slept entries' — and empties both fields.
+func (p *accPool) release(accesses *[]sim.Access, slept *[]sleeper) {
+	if cap(*accesses) > 0 {
+		*p = append(*p, (*accesses)[:0])
+	}
+	for _, sl := range *slept {
+		if cap(sl.acc) > 0 {
+			*p = append(*p, sl.acc[:0])
+		}
+	}
+	*accesses, *slept = nil, (*slept)[:0]
 }
 
 // dporSearch is the per-configuration DPOR state.
@@ -156,7 +200,12 @@ type dporSearch struct {
 	objs []objAccess
 	gen  int32
 
+	rec  dporRecord
+	slot *runSlot
+	free accPool
+
 	runs       int64
+	steps      int64
 	violations int64
 	pruned     int64
 	truncated  bool
@@ -169,6 +218,8 @@ func (e *explorer) dporConfig(pattern sim.Pattern, oracle OracleChoice) *dporSea
 		panic(fmt.Sprintf("explore: DPOR supports n <= %d, got %d", dporMaxProcs, n))
 	}
 	d := &dporSearch{e: e, pattern: pattern, oracle: oracle, n: n, log: sim.NewAccessLog()}
+	d.slot = newRunSlot(e.cfg.System, e.cfg.Budget, d.log, nil)
+	props := e.cfg.System.Properties()
 	var prefix []sim.PID
 	for {
 		if e.stopped() {
@@ -178,25 +229,25 @@ func (e *explorer) dporConfig(pattern sim.Pattern, oracle OracleChoice) *dporSea
 			d.truncated = true
 			return d
 		}
-		rec := &dporRecord{}
-		sched := rec.schedule(prefix)
+		sched := d.rec.schedule(prefix)
 		d.log.Reset()
-		run := execute(e.cfg.System, pattern, oracle, sched, e.cfg.Budget, d.log, nil)
-		run.Schedule = append([]sim.PID(nil), rec.granted...)
+		run := d.slot.execute(pattern, oracle, sched)
+		run.Schedule = d.rec.granted
 		d.runs++
+		d.steps += run.Report.Steps
 		e.runs.Add(1)
 		if run.OutputsSettled {
 			e.settled.Add(1)
 		}
 		bumpMax(&e.maxSteps, run.Report.Steps)
-		d.violations += e.check(run, pattern, oracle)
+		d.violations += e.check(props, run, pattern, oracle)
 		if sched.Diverged() {
 			// A forced prefix can only diverge if re-execution is not
 			// deterministic — a broken system, not a property of the run.
 			panic(fmt.Sprintf("explore: DPOR prefix diverged on %s under %s, %s (non-deterministic system?)",
 				e.cfg.System.Name(), patternLabel(pattern), oracle.Name))
 		}
-		d.extend(len(prefix), rec)
+		d.extend(len(prefix))
 		d.analyze()
 		var ok bool
 		prefix, ok = d.nextPrefix(prefix)
@@ -208,13 +259,16 @@ func (e *explorer) dporConfig(pattern sim.Pattern, oracle OracleChoice) *dporSea
 
 // extend appends stack nodes for the steps the last run executed beyond the
 // forced prefix (up to MaxDepth), and fills in the access set of the node
-// whose alternative was just executed for the first time.
-func (d *dporSearch) extend(start int, rec *dporRecord) {
+// whose alternative was just executed for the first time. A slot beyond
+// the stack keeps the storage of the node that last held it (nextPrefix
+// released its arrays), which the new node reuses.
+func (d *dporSearch) extend(start int) {
+	rec := &d.rec
 	steps := d.log.Steps()
 	if start > 0 {
 		nd := &d.stack[start-1]
 		_, acc := d.log.Step(start - 1)
-		nd.accesses = append(nd.accesses[:0], acc...)
+		nd.accesses = d.free.copyOf(acc)
 	}
 	limit := steps
 	if d.e.cfg.MaxDepth < limit {
@@ -222,38 +276,48 @@ func (d *dporSearch) extend(start int, rec *dporRecord) {
 	}
 	for i := len(d.stack); i < limit; i++ {
 		_, acc := d.log.Step(i)
-		nd := dporNode{
-			enabled:  rec.enabled[i],
-			chosen:   rec.granted[i],
-			accesses: append([]sim.Access(nil), acc...),
-		}
+		d.stack = growStack(d.stack)
+		nd := &d.stack[i]
+		nd.enabled = rec.enabled[i]
+		nd.chosen = rec.granted[i]
+		nd.accesses = d.free.copyOf(acc)
 		nd.backtrack = sim.EmptySet.Add(nd.chosen)
 		nd.done = sim.EmptySet.Add(nd.chosen)
+		nd.sleep = nd.sleep[:0]
 		if i > 0 {
-			nd.sleep = inheritSleep(&d.stack[i-1])
+			parent := &d.stack[i-1]
+			nd.sleep = inheritSleep(nd.sleep, parent.chosen, parent.accesses, parent.sleep, parent.slept)
 		}
-		d.stack = append(d.stack, nd)
 	}
 }
 
-// inheritSleep filters the parent's sleep entries (inherited and local)
-// through the parent's executed step: an entry survives while it commutes
-// with every step taken since it fell asleep and is woken — dropped — by
-// the first conflicting step (or by its own execution).
-func inheritSleep(parent *dporNode) []sleeper {
-	var out []sleeper
-	keep := func(s sleeper) {
-		if s.p != parent.chosen && !sim.AccessesConflict(parent.accesses, s.acc) {
-			out = append(out, s)
+// growStack extends stack by one slot, reusing the slot's previous storage
+// when the backing array already holds one.
+func growStack[N any](stack []N) []N {
+	if len(stack) < cap(stack) {
+		return stack[:len(stack)+1]
+	}
+	var zero N
+	return append(stack, zero)
+}
+
+// inheritSleep appends to dst the parent's sleep entries (inherited and
+// local) that survive the parent's executed step (chosen, with access set
+// accesses): an entry survives while it commutes with every step taken
+// since it fell asleep and is woken — dropped — by the first conflicting
+// step (or by its own execution). Both engines share it.
+func inheritSleep(dst []sleeper, chosen sim.PID, accesses []sim.Access, sleep, slept []sleeper) []sleeper {
+	for _, s := range sleep {
+		if s.p != chosen && !sim.AccessesConflict(accesses, s.acc) {
+			dst = append(dst, s)
 		}
 	}
-	for _, s := range parent.sleep {
-		keep(s)
+	for _, s := range slept {
+		if s.p != chosen && !sim.AccessesConflict(accesses, s.acc) {
+			dst = append(dst, s)
+		}
 	}
-	for _, s := range parent.slept {
-		keep(s)
-	}
-	return out
+	return dst
 }
 
 // objAccess tracks, per shared object, the most recent write and the most
@@ -389,10 +453,14 @@ func (d *dporSearch) nextPrefix(prefix []sim.PID) ([]sim.PID, bool) {
 				d.pruned++
 				continue
 			}
-			// Retire the current child into the sleep set of q's subtree.
+			// Retire the current child into the sleep set of q's subtree;
+			// the nodes deeper than i die, and their arrays are recycled.
 			nd.slept = append(nd.slept, sleeper{p: nd.chosen, acc: nd.accesses})
 			nd.chosen = q
 			nd.accesses = nil
+			for j := i + 1; j < len(d.stack); j++ {
+				d.free.release(&d.stack[j].accesses, &d.stack[j].slept)
+			}
 			d.stack = d.stack[:i+1]
 			out := prefix[:0]
 			for k := 0; k <= i; k++ {

@@ -205,6 +205,10 @@ type Result struct {
 	Configs int `json:"configs"`
 	// Runs is the number of schedules executed (shrinking replays excluded).
 	Runs int64 `json:"runs"`
+	// Steps counts the steps the search runs simulated. A joined run counts
+	// the steps it executed up to the horizon, not the cached tail spliced
+	// after them; shrink replays and witness re-executions are excluded.
+	Steps int64 `json:"steps"`
 	// Pruned counts the schedules an engine proved redundant without
 	// executing them (sleep-set and source-set skips).
 	Pruned int64 `json:"pruned"`
@@ -274,6 +278,7 @@ func enumerateJobs(cfg Config) []Job {
 type explorer struct {
 	cfg         Config
 	runs        atomic.Int64
+	steps       atomic.Int64
 	settled     atomic.Int64
 	maxSteps    atomic.Int64
 	violations  atomic.Int64
@@ -346,6 +351,7 @@ func exploreJobs(cfg Config, jobs []Job) *Result {
 		Engine:       engineLabel(cfg),
 		Configs:      len(jobs),
 		Runs:         e.runs.Load(),
+		Steps:        e.steps.Load(),
 		Pruned:       e.pruned.Load(),
 		Joined:       e.joined.Load(),
 		Truncated:    e.truncated.Load(),
@@ -393,6 +399,7 @@ func MergeResults(results []*Result) (*Result, error) {
 		}
 		out.Configs += r.Configs
 		out.Runs += r.Runs
+		out.Steps += r.Steps
 		out.Pruned += r.Pruned
 		out.Joined += r.Joined
 		out.SettledRuns += r.SettledRuns
@@ -443,6 +450,7 @@ func (e *explorer) exploreConfig(pattern sim.Pattern, oracle OracleChoice) (viol
 	switch e.cfg.Engine {
 	case EngineSource:
 		s := e.sourceConfig(pattern, oracle)
+		e.steps.Add(s.steps)
 		e.pruned.Add(s.pruned)
 		if s.truncated {
 			e.truncated.Store(true)
@@ -453,6 +461,7 @@ func (e *explorer) exploreConfig(pattern sim.Pattern, oracle OracleChoice) (viol
 		return s.violations, s.runs
 	case EngineDPOR:
 		d := e.dporConfig(pattern, oracle)
+		e.steps.Add(d.steps)
 		e.pruned.Add(d.pruned)
 		if d.truncated {
 			e.truncated.Store(true)
@@ -475,66 +484,109 @@ func bumpMax(m *atomic.Int64, v int64) {
 
 // execute runs one simulation of sys under the given schedule on shared
 // state equal to freshly built state, and returns the completed Run
-// (properties not yet checked). The instance is released once the run is
-// finished; the Run keeps nothing of it but the proposals.
-// log, when non-nil, records every step's shared-object access set; the
-// instance's detector histories are then registered with a query seam so
-// queries and history flips are part of those sets. An unrecorded run needs
-// no seam — flip schedules live in the oracle itself, so outputs are
-// identical either way. stop, when non-nil, is polled after every step (and
-// after the instance's observer) with the step count and the query seam; a
-// true return ends the run early — the source engine's state-hash join probe.
+// (properties not yet checked). It is the one-shot form of runSlot.execute
+// — shrink replays, witness re-executions and artifact replays use it — and
+// its Run is the caller's to keep.
 func execute(sys System, pattern sim.Pattern, oracle OracleChoice, sched sim.Schedule, budget int64, log *sim.AccessLog, stop func(sim.Time, *sim.QuerySeam) bool) *Run {
-	inst := sys.Instantiate(pattern, oracle)
-	simCfg := sim.Config{Pattern: pattern, Schedule: sched, Budget: budget, AccessLog: log}
-	var seam *sim.QuerySeam
-	if log != nil && len(inst.Histories) > 0 {
-		seam = sim.NewQuerySeam(log)
+	return newRunSlot(sys, budget, log, stop).execute(pattern, oracle, sched)
+}
+
+// runSlot executes the runs of one search on storage it recycles: the Run
+// handed to properties and Instance.Finish, the Report inside it, the query
+// seam and the StopWhen closure. Each execute overwrites them, so a Run (its
+// Schedule and Report included) is valid only until the next execute on
+// the same slot; whatever must outlive it is copied.
+//
+// log, when non-nil, records every step's shared-object access set; the
+// instance's detector histories are then registered with the slot's query
+// seam so queries and history flips are part of those sets. An unrecorded
+// run needs no seam — flip schedules live in the oracle itself, so outputs
+// are identical either way. stop, when non-nil, is polled after every step
+// (and after the instance's observer) with the step count and the query
+// seam; a true return ends the run early — the source engine's state-hash
+// join probe.
+type runSlot struct {
+	sys    System
+	budget int64
+	log    *sim.AccessLog
+	stop   func(sim.Time, *sim.QuerySeam) bool
+
+	run      Run
+	rep      sim.Report
+	seam     *sim.QuerySeam // built on the first recorded run with histories
+	curSeam  *sim.QuerySeam // the seam of the run in flight, nil when none
+	observe  func(sim.Time) // the observer of the instance in flight
+	stopWhen func(sim.Time) bool
+}
+
+func newRunSlot(sys System, budget int64, log *sim.AccessLog, stop func(sim.Time, *sim.QuerySeam) bool) *runSlot {
+	x := &runSlot{sys: sys, budget: budget, log: log, stop: stop}
+	x.stopWhen = func(t sim.Time) bool {
+		if x.observe != nil {
+			x.observe(t)
+		}
+		return x.stop != nil && x.stop(t, x.curSeam)
+	}
+	return x
+}
+
+// execute runs one simulation under the given schedule and returns the
+// slot's Run. The instance is released once the run is finished; the Run
+// keeps nothing of it but the proposals.
+func (x *runSlot) execute(pattern sim.Pattern, oracle OracleChoice, sched sim.Schedule) *Run {
+	inst := x.sys.Instantiate(pattern, oracle)
+	simCfg := sim.Config{Pattern: pattern, Schedule: sched, Budget: x.budget, AccessLog: x.log}
+	x.curSeam = nil
+	if x.log != nil && len(inst.Histories) > 0 {
+		if x.seam == nil {
+			x.seam = sim.NewQuerySeam(x.log)
+		}
+		x.seam.Reset()
 		for _, h := range inst.Histories {
-			seam.Register(h.Name, h.H)
+			x.seam.Register(h.Name, h.H)
 		}
-		simCfg.Queries = seam
+		x.curSeam = x.seam
+		simCfg.Queries = x.seam
 	}
-	if inst.Observe != nil || stop != nil {
-		observe := inst.Observe
-		simCfg.StopWhen = func(t sim.Time) bool {
-			if observe != nil {
-				observe(t)
-			}
-			return stop != nil && stop(t, seam)
-		}
+	x.observe = inst.Observe
+	if x.observe != nil || x.stop != nil {
+		simCfg.StopWhen = x.stopWhen
 	}
-	var rep *sim.Report
 	var err error
 	if len(inst.Tasks) > 0 {
-		rep, err = sim.RunTaskMachines(simCfg, inst.Tasks)
+		err = sim.RunTaskMachinesInto(&x.rep, simCfg, inst.Tasks)
 	} else {
-		rep, err = sim.RunMachines(simCfg, inst.Machines)
+		err = sim.RunMachinesInto(&x.rep, simCfg, inst.Machines)
 	}
-	run := &Run{
-		System:    sys.Name(),
+	x.observe = nil
+	x.run = Run{
+		System:    x.sys.Name(),
 		Pattern:   pattern,
 		Oracle:    oracle,
 		Proposals: inst.Proposals,
 		K:         inst.K,
-		Report:    rep,
+		Report:    &x.rep,
 		Err:       err,
-		seam:      seam,
+		seam:      x.curSeam,
 	}
 	if inst.Finish != nil {
-		inst.Finish(run)
+		inst.Finish(&x.run)
 	}
 	if inst.Release != nil {
 		inst.Release()
 	}
-	return run
+	return &x.run
 }
 
-// check evaluates every property against the run; each violation is
-// deduplicated per (pattern, oracle, property), shrunk, and recorded.
-func (e *explorer) check(run *Run, pattern sim.Pattern, oracle OracleChoice) int64 {
+// check evaluates every property of props (the system's, fetched once per
+// configuration) against the run; each violation is deduplicated per
+// (pattern, oracle, property), shrunk, and recorded. The run is a search's
+// recycled one: its Schedule and Report are overwritten by the next run, so
+// nothing of them escapes into a Violation uncopied — shrink and
+// newArtifact copy what they keep.
+func (e *explorer) check(props []Property, run *Run, pattern sim.Pattern, oracle OracleChoice) int64 {
 	var contributed int64
-	for _, prop := range e.cfg.System.Properties() {
+	for _, prop := range props {
 		err := prop.Check(run)
 		if err == nil {
 			continue

@@ -1,6 +1,10 @@
 package explore
 
-import "weakestfd/internal/sim"
+import (
+	"slices"
+
+	"weakestfd/internal/sim"
+)
 
 // State-hash join cache for the source-DPOR engine: when two explored
 // prefixes of one (pattern, oracle) configuration commute into the same
@@ -72,55 +76,88 @@ func pidSeqFP(pids []sim.PID) uint64 {
 	return h
 }
 
-// tailStep is one cached tail step: its process and an owned copy of its
-// access set.
+// tailStep is one cached tail step: its process and the span of its access
+// set in the cache's access slab.
 type tailStep struct {
-	p   sim.PID
-	acc []sim.Access
+	p          sim.PID
+	start, end int32
 }
 
-// joinEntry is the reusable continuation of a state: the tail's grants and
-// access trace, and the run facts the joiner reports instead of measuring.
+// joinEntry is the reusable continuation of a state: spans of the cache's
+// slabs holding the tail's steps and grants, and the run facts the joiner
+// reports instead of measuring.
 type joinEntry struct {
-	grants  []sim.PID
-	tail    []tailStep
-	steps   int64
-	settled bool
+	stepLo, stepHi   int // tail steps: joinCache.steps[stepLo:stepHi]
+	grantLo, grantHi int // tail grants: joinCache.grants[grantLo:grantHi]
+	steps            int64
+	settled          bool
 }
 
 // joinCache maps horizon states to their continuations for one
-// configuration's search (single-goroutine access; no locking).
+// configuration's search (single-goroutine access; no locking). Every
+// entry's tail lives in three append-only slabs, so admitting a state costs
+// amortized copying into them rather than an allocation per tail step.
 type joinCache struct {
 	max    int
-	m      map[joinKey]*joinEntry
+	m      map[joinKey]joinEntry
+	steps  []tailStep
+	acc    []sim.Access
+	grants []sim.PID
 	capped bool
 }
 
 func newJoinCache(max int) *joinCache {
-	return &joinCache{max: max, m: make(map[joinKey]*joinEntry)}
+	return &joinCache{max: max, m: make(map[joinKey]joinEntry)}
 }
 
-// get returns the cached continuation for key, nil when unseen.
-func (c *joinCache) get(key joinKey) *joinEntry {
-	return c.m[key]
+// get returns the cached continuation for key, reporting whether there is
+// one.
+func (c *joinCache) get(key joinKey) (joinEntry, bool) {
+	e, ok := c.m[key]
+	return e, ok
 }
 
 // put records a continuation: the tail portion of the log (steps from
-// horizon on) and of the grant sequence, copied out of the run's buffers.
-// Returns false when the entry cap is hit (the state is not admitted).
+// horizon on) and of the grant sequence, copied into the slabs. Returns
+// false when the entry cap is hit (the state is not admitted).
 func (c *joinCache) put(key joinKey, log *sim.AccessLog, granted []sim.PID, horizon int, steps int64, settled bool) bool {
 	if len(c.m) >= c.max {
 		c.capped = true
 		return false
 	}
-	ent := &joinEntry{steps: steps, settled: settled}
+	ent := joinEntry{steps: steps, settled: settled, stepLo: len(c.steps), grantLo: len(c.grants)}
 	if horizon < len(granted) {
-		ent.grants = append([]sim.PID(nil), granted[horizon:]...)
+		c.grants = append(slabGrow(c.grants, len(granted)-horizon), granted[horizon:]...)
 	}
+	c.steps = slabGrow(c.steps, log.Steps()-horizon)
 	for i := horizon; i < log.Steps(); i++ {
 		p, acc := log.Step(i)
-		ent.tail = append(ent.tail, tailStep{p: p, acc: append([]sim.Access(nil), acc...)})
+		start := int32(len(c.acc))
+		c.acc = append(slabGrow(c.acc, len(acc)), acc...)
+		c.steps = append(c.steps, tailStep{p: p, start: start, end: int32(len(c.acc))})
 	}
+	ent.stepHi, ent.grantHi = len(c.steps), len(c.grants)
 	c.m[key] = ent
 	return true
+}
+
+// slabGrow makes room for n more elements in slab, at least doubling its
+// capacity when it must grow: append alone grows large slices by a quarter,
+// which would make the copies of a growing slab cost several times its final
+// size.
+func slabGrow[T any](slab []T, n int) []T {
+	if len(slab)+n <= cap(slab) {
+		return slab
+	}
+	return slices.Grow(slab, max(n, cap(slab)))
+}
+
+// splice appends e's cached tail to a joined run: its steps to log, so the
+// race analysis sees the complete run, and its grants to granted, which it
+// returns.
+func (c *joinCache) splice(e joinEntry, log *sim.AccessLog, granted []sim.PID) []sim.PID {
+	for _, ts := range c.steps[e.stepLo:e.stepHi] {
+		log.AppendStep(ts.p, c.acc[ts.start:ts.end])
+	}
+	return append(granted, c.grants[e.grantLo:e.grantHi]...)
 }

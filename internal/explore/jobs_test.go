@@ -107,12 +107,12 @@ func TestExploreJobsShardedMerge(t *testing.T) {
 		t.Fatalf("MergeResults: %v", err)
 	}
 
-	if merged.Configs != whole.Configs || merged.Runs != whole.Runs ||
+	if merged.Configs != whole.Configs || merged.Runs != whole.Runs || merged.Steps != whole.Steps ||
 		merged.Pruned != whole.Pruned || merged.Joined != whole.Joined ||
 		merged.SettledRuns != whole.SettledRuns || merged.MaxSteps != whole.MaxSteps {
-		t.Errorf("merged counters differ from single-process Explore:\n merged: configs=%d runs=%d pruned=%d joined=%d settled=%d maxsteps=%d\n whole:  configs=%d runs=%d pruned=%d joined=%d settled=%d maxsteps=%d",
-			merged.Configs, merged.Runs, merged.Pruned, merged.Joined, merged.SettledRuns, merged.MaxSteps,
-			whole.Configs, whole.Runs, whole.Pruned, whole.Joined, whole.SettledRuns, whole.MaxSteps)
+		t.Errorf("merged counters differ from single-process Explore:\n merged: configs=%d runs=%d steps=%d pruned=%d joined=%d settled=%d maxsteps=%d\n whole:  configs=%d runs=%d steps=%d pruned=%d joined=%d settled=%d maxsteps=%d",
+			merged.Configs, merged.Runs, merged.Steps, merged.Pruned, merged.Joined, merged.SettledRuns, merged.MaxSteps,
+			whole.Configs, whole.Runs, whole.Steps, whole.Pruned, whole.Joined, whole.SettledRuns, whole.MaxSteps)
 	}
 	if merged.Truncated != whole.Truncated || merged.StateCapped != whole.StateCapped ||
 		merged.DepthLimited != whole.DepthLimited {

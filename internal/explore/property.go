@@ -8,8 +8,9 @@ import (
 )
 
 // Run is one completed simulation, in the shape properties are checked
-// against. The explorer produces one per explored schedule; replay produces
-// one per artifact re-execution.
+// against. The explorer produces one per explored schedule, recycling one
+// Run (and its Report) per configuration across that configuration's runs;
+// replay produces a Run of its own per artifact re-execution.
 type Run struct {
 	// System is the registry name of the system under test.
 	System string
@@ -26,7 +27,8 @@ type Run struct {
 	// Err is the run error; for terminating protocols a non-nil Err is the
 	// observable face of non-termination within the budget.
 	Err error
-	// Schedule is the granted PID sequence of the run, for artifacts.
+	// Schedule is the granted PID sequence of the run, for artifacts. In a
+	// search run it aliases the search's grant record.
 	Schedule []sim.PID
 
 	// Outputs holds the final emulated detector outputs of extraction
@@ -52,6 +54,10 @@ type Run struct {
 // decidable on a single bounded run: eventual properties are checked
 // against the run's horizon and must return nil (not an error) when the run
 // is inconclusive.
+//
+// The *Run passed to Check, its Schedule and its Report are valid only
+// during the call: the search recycles them for its next run. A property
+// that keeps anything of the run beyond Check must copy it.
 type Property interface {
 	Name() string
 	Check(r *Run) error
@@ -119,10 +125,13 @@ func (AtMostK) Check(r *Run) error {
 	if r.Report == nil || r.K <= 0 {
 		return nil
 	}
+	// The scratch stays on the stack: only a copy reaches the error.
 	var scratch [sim.MaxProcs]sim.Value
 	decided := r.Report.DecidedValuesAppend(scratch[:0])
 	if len(decided) > r.K {
-		return fmt.Errorf("%d distinct decisions %v exceed k=%d", len(decided), decided, r.K)
+		kept := make([]sim.Value, len(decided))
+		copy(kept, decided)
+		return fmt.Errorf("%d distinct decisions %v exceed k=%d", len(kept), kept, r.K)
 	}
 	return nil
 }

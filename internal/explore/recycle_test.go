@@ -1,7 +1,11 @@
 package explore
 
 import (
+	"bytes"
+	"encoding/json"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"weakestfd/internal/sim"
@@ -86,10 +90,14 @@ type recordedRun struct {
 }
 
 // recordSequence executes seq with one access log reset between runs, as
-// one configuration's search does, taking each run's system from sysFor.
-func recordSequence(seq []recycleStep, sysFor func() System) []recordedRun {
+// one configuration's search does. recycled runs the whole sequence through
+// one system value and one runSlot, so machines, Run, Report and query seam
+// are all reused; otherwise every run gets a new system and a one-shot
+// execute.
+func recordSequence(seq []recycleStep, sys System, recycled bool) []recordedRun {
 	log := sim.NewAccessLog()
 	log.EnableDigest()
+	slot := newRunSlot(sys, 4096, log, nil)
 	out := make([]recordedRun, len(seq))
 	for i, st := range seq {
 		rec := &out[i]
@@ -98,8 +106,20 @@ func recordSequence(seq []recycleStep, sysFor func() System) []recordedRun {
 			rec.digests = append(rec.digests, log.StateDigest())
 			return st.horizon > 0 && t >= st.horizon
 		}
-		run := execute(sysFor(), st.pattern, st.oracle, st.schedule(), 4096, log, stop)
+		var run *Run
+		if recycled {
+			slot.stop = stop
+			run = slot.execute(st.pattern, st.oracle, st.schedule())
+		} else {
+			fresh, _ := NewSystem(sys.Name(), sys.N(), sys.MaxFaults())
+			run = execute(fresh, st.pattern, st.oracle, st.schedule(), 4096, log, stop)
+		}
+		// The recycled Report's maps are cleared by the next run: keep
+		// copies.
 		rec.report = *run.Report
+		rec.report.Decided = maps.Clone(run.Report.Decided)
+		rec.report.DecidedAt = maps.Clone(run.Report.DecidedAt)
+		rec.report.StepsBy = slices.Clone(run.Report.StepsBy)
 		rec.report.Accesses = nil
 		if run.Err != nil {
 			rec.err = run.Err.Error()
@@ -132,9 +152,10 @@ func (s *machineSpy) Instantiate(p sim.Pattern, o OracleChoice) Instance {
 }
 
 // TestRecycledRunsEqualFresh pushes one fixed sequence of (pattern, oracle,
-// schedule) runs through a single system value, so its runs recycle, and
-// through a new system per run, so every run is built fresh. Reports,
-// per-step access sets and per-step state digests must be equal run by run.
+// schedule) runs through a single system value and run slot, so its runs
+// and their Run, Report and query seam recycle, and through a new system
+// per run, so every run is built fresh. Reports, per-step access sets and
+// per-step state digests must be equal run by run.
 func TestRecycledRunsEqualFresh(t *testing.T) {
 	recycled := 0
 	for _, rs := range recycledSystems {
@@ -144,11 +165,8 @@ func TestRecycledRunsEqualFresh(t *testing.T) {
 		}
 		seq := recycleSequence(t, sys)
 		spy := &machineSpy{System: sys, seen: make(map[sim.StepMachine]bool)}
-		got := recordSequence(seq, func() System { return spy })
-		want := recordSequence(seq, func() System {
-			fresh, _ := NewSystem(rs.name, rs.n, rs.f)
-			return fresh
-		})
+		got := recordSequence(seq, spy, true)
+		want := recordSequence(seq, sys, false)
 		for i := range seq {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Errorf("%s run %d (%s/%s): recycled run differs from a fresh one\nrecycled: %+v\nfresh:    %+v",
@@ -206,33 +224,69 @@ func TestUnreleasedInstancesShareNothing(t *testing.T) {
 	}
 }
 
-// TestRecyclePoolWorkersAgree runs one sweep at one and at four workers on
+// TestRecyclePoolWorkersAgree runs sweeps at one and at four workers on
 // the same system value, so runs recycle across goroutines: every count and
-// the violation keys must agree. CI also runs it repeatedly under the race
-// detector.
+// the violation keys must agree. The garbled-decide mutant violates in every
+// configuration, so its violations are built from recycled search runs
+// whose Schedule and Report the next run overwrites: their artifacts must
+// be byte-identical across worker counts. CI also runs it repeatedly under
+// the race detector.
 func TestRecyclePoolWorkersAgree(t *testing.T) {
-	cfg := Config{System: Fig1System(3), SwitchBudget: 1, MaxDepth: 6}
-	cfg.Workers = 1
-	one := Explore(cfg)
-	cfg.Workers = 4
-	four := Explore(cfg)
-	keys := func(r *Result) []string {
-		var out []string
-		for _, v := range r.Violations {
-			out = append(out, violationKey(v))
-		}
-		return out
-	}
-	type counts struct {
-		Runs, Joined, Pruned, SettledRuns int64
-		Violations                        []string
-	}
-	a := counts{one.Runs, one.Joined, one.Pruned, one.SettledRuns, keys(one)}
-	b := counts{four.Runs, four.Joined, four.Pruned, four.SettledRuns, keys(four)}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("workers=1 and workers=4 disagree:\n 1: %+v\n 4: %+v", a, b)
-	}
-	if a.Runs == 0 {
-		t.Fatal("the sweep executed no runs")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fig1", Config{System: Fig1System(3), SwitchBudget: 1, MaxDepth: 6}},
+		{"fig1-garbled-decide", Config{System: GarbledFig1System(3), MaxDepth: 6, MaxViolations: 1 << 20, ShrinkBudget: 50}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workers = 1
+			one := Explore(cfg)
+			cfg.Workers = 4
+			four := Explore(cfg)
+			keys := func(r *Result) []string {
+				var out []string
+				for _, v := range r.Violations {
+					out = append(out, violationKey(v))
+				}
+				return out
+			}
+			type counts struct {
+				Runs, Steps, Joined, Pruned, SettledRuns int64
+				Violations                               []string
+			}
+			a := counts{one.Runs, one.Steps, one.Joined, one.Pruned, one.SettledRuns, keys(one)}
+			b := counts{four.Runs, four.Steps, four.Joined, four.Pruned, four.SettledRuns, keys(four)}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("workers=1 and workers=4 disagree:\n 1: %+v\n 4: %+v", a, b)
+			}
+			if a.Runs == 0 {
+				t.Fatal("the sweep executed no runs")
+			}
+			if cfg.System.Name() != "fig1-garbled-decide" {
+				return
+			}
+			if len(one.Violations) != one.Configs {
+				t.Fatalf("%d violations over %d configurations, want one each", len(one.Violations), one.Configs)
+			}
+			for i := range one.Violations {
+				ja, err := json.Marshal(one.Violations[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				jb, err := json.Marshal(four.Violations[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ja, jb) {
+					t.Errorf("violation %d differs across worker counts:\n 1: %s\n 4: %s", i, ja, jb)
+				}
+				v := one.Violations[i]
+				if _, verr, err := v.Artifact.Replay(nil); err != nil || verr == nil || verr.Error() != v.Message {
+					t.Errorf("violation %d (%s): artifact replay gave (%v, %v), want the recorded %q", i, violationKey(v), verr, err, v.Message)
+				}
+			}
+		})
 	}
 }

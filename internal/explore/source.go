@@ -89,7 +89,18 @@ type srcSearch struct {
 	joins   *joinCache
 	horizon int
 
+	// Storage recycled across the configuration's runs: the grant record
+	// and schedule, the Run/Report/seam slot, the access-set and
+	// wakeup-sequence arrays of dead stack nodes, and the sequence under
+	// construction in raceReversal.
+	rec     dporRecord
+	slot    *runSlot
+	free    accPool
+	freeSeq [][]sim.PID
+	seqBuf  []sim.PID
+
 	runs       int64
+	steps      int64
 	violations int64
 	pruned     int64
 	joined     int64
@@ -115,8 +126,8 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 	// The closure (and the per-run probe state it captures) is built once for
 	// the whole configuration — it sits on the per-run hot path.
 	var prefix []sim.PID
-	var rec *dporRecord
-	var hit *joinEntry
+	var hit joinEntry
+	var joined bool
 	var probeKey joinKey
 	var probed bool
 	var stop func(sim.Time, *sim.QuerySeam) bool
@@ -128,7 +139,7 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 			probed = true
 			probeKey = joinKey{digest: s.log.StateDigest(), rr: -1}
 			if s.horizon > len(prefix) {
-				probeKey.rr = int16(rec.granted[s.horizon-1])
+				probeKey.rr = int16(s.rec.granted[s.horizon-1])
 			} else if len(prefix) > s.horizon {
 				// The forced prefix extends past the horizon: those steps
 				// have not executed yet, so two runs may join only when
@@ -136,10 +147,12 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 				probeKey.pending = pidSeqFP(prefix[s.horizon:])
 			}
 			probeKey.env = seam.OutputsDigest(t)
-			hit = s.joins.get(probeKey)
-			return hit != nil
+			hit, joined = s.joins.get(probeKey)
+			return joined
 		}
 	}
+	s.slot = newRunSlot(e.cfg.System, e.cfg.Budget, s.log, stop)
+	props := e.cfg.System.Properties()
 	for {
 		if e.stopped() {
 			return s
@@ -148,26 +161,22 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 			s.truncated = true
 			return s
 		}
-		rec = &dporRecord{}
-		sched := rec.schedule(prefix)
+		sched := s.rec.schedule(prefix)
 		s.log.Reset()
-		hit, probed = nil, false
+		joined, probed = false, false
 
-		run := execute(e.cfg.System, pattern, oracle, sched, e.cfg.Budget, s.log, stop)
+		run := s.slot.execute(pattern, oracle, sched)
 		s.seam = run.seam
 		s.hasFlips = s.seam.FlipsRemaining(0) > 0
 		s.runs++
+		s.steps += run.Report.Steps
 		e.runs.Add(1)
-		if hit != nil {
+		if joined {
 			// Joined run: splice the cached tail so the race analysis sees
 			// the complete run, and account the first visitor's facts. The
 			// first visitor also checked the identical continuation, so no
 			// property check here.
-			for _, ts := range hit.tail {
-				s.log.AppendStep(ts.p, ts.acc)
-			}
-			rec.granted = append(rec.granted, hit.grants...)
-			run.Schedule = append([]sim.PID(nil), rec.granted...)
+			s.rec.granted = s.joins.splice(hit, s.log, s.rec.granted)
 			s.joined++
 			e.joined.Add(1)
 			if hit.settled {
@@ -175,14 +184,16 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 			}
 			bumpMax(&e.maxSteps, hit.steps)
 		} else {
-			run.Schedule = append([]sim.PID(nil), rec.granted...)
+			// The schedule aliases the grant record, which the next run
+			// overwrites: check copies whatever of it a violation keeps.
+			run.Schedule = s.rec.granted
 			if run.OutputsSettled {
 				e.settled.Add(1)
 			}
 			bumpMax(&e.maxSteps, run.Report.Steps)
-			s.violations += e.check(run, pattern, oracle)
+			s.violations += e.check(props, run, pattern, oracle)
 			if probed {
-				s.joins.put(probeKey, s.log, rec.granted, s.horizon, run.Report.Steps, run.OutputsSettled)
+				s.joins.put(probeKey, s.log, s.rec.granted, s.horizon, run.Report.Steps, run.OutputsSettled)
 			}
 		}
 		if sched.Diverged() {
@@ -195,7 +206,7 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 			panic(fmt.Sprintf("explore: source-DPOR prefix diverged on %s under %s, %s (non-deterministic system?)",
 				e.cfg.System.Name(), patternLabel(pattern), oracle.Name))
 		}
-		s.extend(rec)
+		s.extend()
 		s.analyze()
 		var ok bool
 		prefix, ok = s.nextPrefix(prefix)
@@ -209,13 +220,15 @@ func (e *explorer) sourceConfig(pattern sim.Pattern, oracle OracleChoice) *srcSe
 // alternative just ran for the first time) and appends stack nodes for the
 // steps beyond the current stack (up to MaxDepth) — which include the forced
 // wakeup tail, each node seeded with its executed step as the first covered
-// alternative.
-func (s *srcSearch) extend(rec *dporRecord) {
+// alternative. A slot beyond the stack keeps the storage of the node that
+// last held it (nextPrefix released its arrays), which the new node reuses.
+func (s *srcSearch) extend() {
+	rec := &s.rec
 	steps := s.log.Steps()
 	if k := len(s.stack); k > 0 {
 		nd := &s.stack[k-1]
 		_, acc := s.log.Step(k - 1)
-		nd.accesses = append(nd.accesses[:0], acc...)
+		nd.accesses = s.free.copyOf(acc)
 	}
 	limit := steps
 	if s.e.cfg.MaxDepth < limit {
@@ -223,35 +236,19 @@ func (s *srcSearch) extend(rec *dporRecord) {
 	}
 	for i := len(s.stack); i < limit; i++ {
 		_, acc := s.log.Step(i)
-		nd := srcNode{
-			enabled:  rec.enabled[i],
-			chosen:   rec.granted[i],
-			accesses: append([]sim.Access(nil), acc...),
-		}
+		s.stack = growStack(s.stack)
+		nd := &s.stack[i]
+		nd.enabled = rec.enabled[i]
+		nd.chosen = rec.granted[i]
+		nd.accesses = s.free.copyOf(acc)
 		nd.covered = sim.EmptySet.Add(nd.chosen)
+		nd.wut = nd.wut[:0]
+		nd.sleep = nd.sleep[:0]
 		if i > 0 {
-			nd.sleep = inheritSleepSrc(&s.stack[i-1])
-		}
-		s.stack = append(s.stack, nd)
-	}
-}
-
-// inheritSleepSrc filters the parent's sleep entries through the parent's
-// executed step, exactly as the classic engine's inheritSleep.
-func inheritSleepSrc(parent *srcNode) []sleeper {
-	var out []sleeper
-	keep := func(sl sleeper) {
-		if sl.p != parent.chosen && !sim.AccessesConflict(parent.accesses, sl.acc) {
-			out = append(out, sl)
+			parent := &s.stack[i-1]
+			nd.sleep = inheritSleep(nd.sleep, parent.chosen, parent.accesses, parent.sleep, parent.slept)
 		}
 	}
-	for _, sl := range parent.sleep {
-		keep(sl)
-	}
-	for _, sl := range parent.slept {
-		keep(sl)
-	}
-	return out
 }
 
 // analyze walks the completed run maintaining the happens-before relation
@@ -387,11 +384,10 @@ func (s *srcSearch) raceReversal(b, c int, p sim.PID, procB int, scB int32) {
 			return
 		}
 	}
-	var seq []sim.PID
+	seq := s.seqBuf[:0]
 	if okC {
 		// Full wakeup sequence: force the next run straight into the
 		// reversal.
-		seq = make([]sim.PID, 0, len(v))
 		for _, e := range v {
 			seq = append(seq, e.p)
 		}
@@ -404,22 +400,31 @@ func (s *srcSearch) raceReversal(b, c int, p sim.PID, procB int, scB int32) {
 		if !ini.Has(p) {
 			q = ini.Min()
 		}
-		seq = []sim.PID{q}
+		seq = append(seq, q)
 	}
+	s.seqBuf = seq
 	if !nd.enabled.Has(seq[0]) {
 		return // unreachable given monotone enabledness; defensive
 	}
 	if hasSequence(nd.wut, seq) {
 		return
 	}
-	nd.wut = append(nd.wut, seq)
+	// Queue an owned copy, in an array a popped sequence left free.
+	var owned []sim.PID
+	if k := len(s.freeSeq); k > 0 {
+		owned = s.freeSeq[k-1]
+		s.freeSeq = s.freeSeq[:k-1]
+	}
+	nd.wut = append(nd.wut, append(owned, seq...))
 }
 
 // nextPrefix pops the search to the deepest node with a pending wakeup
 // sequence and returns the forced prefix of the next run: the stack's chosen
 // steps through that node (re-chosen to the sequence head) followed by the
 // rest of the sequence. Sequences whose head is meanwhile covered or asleep
-// are dropped as pruned schedules.
+// are dropped as pruned schedules. Every popped sequence's array is freed
+// for reuse, and so are the arrays of the nodes below the new branch point:
+// nothing at depth <= i references them.
 func (s *srcSearch) nextPrefix(prefix []sim.PID) ([]sim.PID, bool) {
 	for i := len(s.stack) - 1; i >= 0; i-- {
 		nd := &s.stack[i]
@@ -428,20 +433,26 @@ func (s *srcSearch) nextPrefix(prefix []sim.PID) ([]sim.PID, bool) {
 			nd.wut = nd.wut[:len(nd.wut)-1]
 			q := seq[0]
 			if nd.covered.Has(q) || sleepContains(nd.sleep, q) {
+				s.freeSeq = append(s.freeSeq, seq[:0])
 				s.pruned++
 				continue
 			}
-			// Retire the current child into the sleep set of q's subtree.
+			// Retire the current child into the sleep set of q's subtree;
+			// the nodes deeper than i die.
 			nd.slept = append(nd.slept, sleeper{p: nd.chosen, acc: nd.accesses})
 			nd.covered = nd.covered.Add(q)
 			nd.chosen = q
 			nd.accesses = nil
+			for j := i + 1; j < len(s.stack); j++ {
+				s.free.release(&s.stack[j].accesses, &s.stack[j].slept)
+			}
 			s.stack = s.stack[:i+1]
 			out := prefix[:0]
 			for k := 0; k <= i; k++ {
 				out = append(out, s.stack[k].chosen)
 			}
 			out = append(out, seq[1:]...)
+			s.freeSeq = append(s.freeSeq, seq[:0])
 			return out, true
 		}
 	}

@@ -64,7 +64,10 @@ type Instance struct {
 	// sim.Config.StopWhen); extraction systems use it to trace outputs.
 	Observe func(t sim.Time)
 	// Finish, when non-nil, runs after the simulation and may fill
-	// system-specific Run fields (e.g. Outputs/OutputsSettled).
+	// system-specific Run fields (e.g. Outputs/OutputsSettled). The *Run,
+	// its Schedule and its Report are valid only during the call: the
+	// search recycles them for its next run, so Finish copies whatever it
+	// keeps.
 	Finish func(r *Run)
 	// Histories are the detector histories the machines query, registered
 	// with the run's query seam so every query is recorded as a read of the

@@ -12,8 +12,9 @@ import (
 // CheckpointSchema versions the checkpoint file format. Bump it whenever a
 // field changes meaning; Load refuses other schemas loudly rather than
 // resuming a sweep it would silently mis-merge. Schema 2 dropped the spec's
-// max_blocks, max_block and symmetry fields.
-const CheckpointSchema = 2
+// max_blocks, max_block and symmetry fields; schema 3 added the shard
+// results' steps count, which a schema-2 shard would merge as zero.
+const CheckpointSchema = 3
 
 // ShardRecord is one completed shard: the job span it covered and the full
 // explore.Result for exactly those jobs (counters, flags and shrunk

@@ -121,6 +121,12 @@ func TestCheckpointRejectsLoudly(t *testing.T) {
 		}
 		expectErr(t, path, "checkpoint schema 1")
 	})
+	t.Run("schema-2", func(t *testing.T) {
+		// Schema-2 shard results carry no steps count; merged into a
+		// resumed sweep they would undercount its steps silently.
+		path := write(t, func(c *Checkpoint) { c.Schema = 2 })
+		expectErr(t, path, "checkpoint schema 2")
+	})
 	t.Run("spec-key-mismatch", func(t *testing.T) {
 		expectErr(t, write(t, func(c *Checkpoint) { c.Spec.MaxDepth = 99 }), "spec_key")
 	})

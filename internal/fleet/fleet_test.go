@@ -87,12 +87,15 @@ func assertResultsEqual(t *testing.T, fleet, single *explore.Result) {
 	if fleet.System != single.System || fleet.Engine != single.Engine {
 		t.Errorf("identity differs: %s/%s vs %s/%s", fleet.System, fleet.Engine, single.System, single.Engine)
 	}
-	if fleet.Configs != single.Configs || fleet.Runs != single.Runs ||
+	if fleet.Configs != single.Configs || fleet.Runs != single.Runs || fleet.Steps != single.Steps ||
 		fleet.Pruned != single.Pruned || fleet.Joined != single.Joined ||
 		fleet.SettledRuns != single.SettledRuns || fleet.MaxSteps != single.MaxSteps {
-		t.Errorf("counters differ:\n fleet:  configs=%d runs=%d pruned=%d joined=%d settled=%d maxsteps=%d\n single: configs=%d runs=%d pruned=%d joined=%d settled=%d maxsteps=%d",
-			fleet.Configs, fleet.Runs, fleet.Pruned, fleet.Joined, fleet.SettledRuns, fleet.MaxSteps,
-			single.Configs, single.Runs, single.Pruned, single.Joined, single.SettledRuns, single.MaxSteps)
+		t.Errorf("counters differ:\n fleet:  configs=%d runs=%d steps=%d pruned=%d joined=%d settled=%d maxsteps=%d\n single: configs=%d runs=%d steps=%d pruned=%d joined=%d settled=%d maxsteps=%d",
+			fleet.Configs, fleet.Runs, fleet.Steps, fleet.Pruned, fleet.Joined, fleet.SettledRuns, fleet.MaxSteps,
+			single.Configs, single.Runs, single.Steps, single.Pruned, single.Joined, single.SettledRuns, single.MaxSteps)
+	}
+	if single.Runs > 0 && single.Steps < single.Runs {
+		t.Errorf("single-process sweep counted %d steps over %d runs", single.Steps, single.Runs)
 	}
 	if fleet.Truncated != single.Truncated || fleet.StateCapped != single.StateCapped ||
 		fleet.DepthLimited != single.DepthLimited {

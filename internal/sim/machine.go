@@ -94,6 +94,17 @@ const (
 // "step" (machines do not carry human-readable step labels), and a machine
 // cannot return before its first step (no ported protocol does).
 func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
+	rep := new(Report)
+	err := RunMachinesInto(rep, cfg, machines)
+	return rep, err
+}
+
+// RunMachinesInto is RunMachines filling a caller-owned Report: rep's maps
+// and counters are cleared in place, so a caller replaying many runs
+// through one Report allocates nothing for it once warm. The returned error
+// is stored in rep as well, and like everything in rep it is overwritten by
+// the next run filled into it.
+func RunMachinesInto(rep *Report, cfg Config, machines []StepMachine) error {
 	n := cfg.Pattern.N()
 	if len(machines) != n {
 		panic(fmt.Sprintf("sim: %d machines for %d processes", len(machines), n))
@@ -106,13 +117,9 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 		budget = DefaultBudget
 	}
 
-	states := make([]machState, n)
-	rep := &Report{
-		Decided:   make(map[PID]Value),
-		DecidedAt: make(map[PID]Time),
-		StepsBy:   make([]int64, n),
-		Accesses:  cfg.AccessLog,
-	}
+	var stateBuf [MaxProcs]machState
+	states := stateBuf[:n]
+	rep.reset(n, cfg.AccessLog)
 	for i := range machines {
 		machines[i].Init(MachineContext{ID: PID(i), N: n, Log: cfg.AccessLog, Queries: cfg.Queries})
 	}
@@ -184,12 +191,12 @@ func RunMachines(cfg Config, machines []StepMachine) (*Report, error) {
 		}
 	}
 
-	for _, pid := range cfg.Pattern.Correct().Members() {
-		if states[pid] != machReturned {
-			return rep, fmt.Errorf("%w (pattern %v, %d steps)", ErrBudgetExhausted, cfg.Pattern, rep.Steps)
+	for s := cfg.Pattern.Correct(); s != 0; s &= s - 1 {
+		if states[s.Min()] != machReturned {
+			return rep.budgetExhausted(cfg.Pattern)
 		}
 	}
-	return rep, nil
+	return nil
 }
 
 // MachineTaskSet holds one logical process's parallel task machines, the
@@ -203,6 +210,14 @@ type MachineTaskSet []StepMachine
 // process decides when any of its tasks does; the run ends successfully as
 // soon as every correct process has decided.
 func RunTaskMachines(cfg Config, tasks []MachineTaskSet) (*Report, error) {
+	rep := new(Report)
+	err := RunTaskMachinesInto(rep, cfg, tasks)
+	return rep, err
+}
+
+// RunTaskMachinesInto is RunTaskMachines filling a caller-owned Report, as
+// RunMachinesInto does.
+func RunTaskMachinesInto(rep *Report, cfg Config, tasks []MachineTaskSet) error {
 	n := cfg.Pattern.N()
 	if len(tasks) != n {
 		panic(fmt.Sprintf("sim: %d task sets for %d processes", len(tasks), n))
@@ -234,12 +249,7 @@ func RunTaskMachines(cfg Config, tasks []MachineTaskSet) (*Report, error) {
 		}
 	}
 
-	rep := &Report{
-		Decided:   make(map[PID]Value),
-		DecidedAt: make(map[PID]Time),
-		StepsBy:   make([]int64, n),
-		Accesses:  cfg.AccessLog,
-	}
+	rep.reset(n, cfg.AccessLog)
 	rotate := make([]int, n) // last-granted task index per process
 
 	crashLive := func() {
@@ -339,7 +349,7 @@ func RunTaskMachines(cfg Config, tasks []MachineTaskSet) (*Report, error) {
 	}
 
 	if !allCorrectDecided() {
-		return rep, fmt.Errorf("%w (pattern %v, %d steps)", ErrBudgetExhausted, cfg.Pattern, rep.Steps)
+		return rep.budgetExhausted(cfg.Pattern)
 	}
-	return rep, nil
+	return nil
 }

@@ -68,7 +68,7 @@ type histSlot struct {
 // recorded run with NewQuerySeam, Register every history the machines query,
 // and hand it to the runner through Config.Queries; the runner forwards it
 // to machines via MachineContext.Queries and calls OnStep inside every step's
-// access span.
+// access span. Reset readies a seam for the next run.
 type QuerySeam struct {
 	log   *AccessLog
 	hists []histSlot
@@ -78,6 +78,17 @@ type QuerySeam struct {
 // the seam a pure pass-through).
 func NewQuerySeam(log *AccessLog) *QuerySeam {
 	return &QuerySeam{log: log}
+}
+
+// Reset unregisters every history, keeping the seam's log and storage, so
+// that one seam can serve the recorded runs of a search one after another.
+// Nil-safe no-op.
+func (q *QuerySeam) Reset() {
+	if q == nil {
+		return
+	}
+	clear(q.hists)
+	q.hists = q.hists[:0]
 }
 
 // Register adds a history under the given virtual-object name. If h

@@ -77,6 +77,56 @@ type Report struct {
 	// consumers that only see the Report (replay tracing, dependency
 	// analysis) can reach it.
 	Accesses *AccessLog
+
+	// budgetErr is the storage behind the error a runner returns when a
+	// correct process did not return, so reporting it allocates nothing.
+	budgetErr budgetError
+}
+
+// reset prepares r to receive a run of n processes recorded into log,
+// clearing its maps and step counters in place so that a Report reused
+// across runs allocates nothing once warm.
+func (r *Report) reset(n int, log *AccessLog) {
+	if r.Decided == nil {
+		r.Decided = make(map[PID]Value)
+		r.DecidedAt = make(map[PID]Time)
+	} else {
+		clear(r.Decided)
+		clear(r.DecidedAt)
+	}
+	if cap(r.StepsBy) >= n {
+		r.StepsBy = r.StepsBy[:n]
+		clear(r.StepsBy)
+	} else {
+		r.StepsBy = make([]int64, n)
+	}
+	r.Halted, r.Crashed = EmptySet, EmptySet
+	r.Steps = 0
+	r.Stopped, r.BudgetExhausted = false, false
+	r.Accesses = log
+	r.budgetErr = budgetError{}
+}
+
+// budgetError is the error every runner returns when the run ended with a
+// correct process that had not returned: ErrBudgetExhausted plus the run's
+// pattern and length. Most such runs are stopped early on purpose (the
+// explorer's join probe) and nobody reads their error, so the message is
+// formatted only when asked for.
+type budgetError struct {
+	pattern Pattern
+	steps   int64
+}
+
+func (e *budgetError) Error() string {
+	return fmt.Sprintf("%v (pattern %v, %d steps)", ErrBudgetExhausted, e.pattern, e.steps)
+}
+
+func (e *budgetError) Unwrap() error { return ErrBudgetExhausted }
+
+// budgetExhausted returns the run's budget error, stored in r.
+func (r *Report) budgetExhausted(pattern Pattern) error {
+	r.budgetErr = budgetError{pattern: pattern, steps: r.Steps}
+	return &r.budgetErr
 }
 
 // DecidedValues returns the set of distinct decision values in the report,
@@ -262,9 +312,9 @@ func Run(cfg Config, bodies []Body) (*Report, error) {
 	}
 
 	// A run terminates successfully when every correct process has returned.
-	for _, pid := range cfg.Pattern.Correct().Members() {
-		if states[pid] != stateReturned {
-			return rep, fmt.Errorf("%w (pattern %v, %d steps)", ErrBudgetExhausted, cfg.Pattern, rep.Steps)
+	for s := cfg.Pattern.Correct(); s != 0; s &= s - 1 {
+		if states[s.Min()] != stateReturned {
+			return rep, rep.budgetExhausted(cfg.Pattern)
 		}
 	}
 	return rep, nil
